@@ -19,6 +19,18 @@ outer loop never increases J_eps (see ``fit``). The raw objective differs
 from J_eps by beta * gamma * sum_i (sqrt(||p_i||^2 + epsilon) - ||p_i||),
 which lies in [0, beta * gamma * d * sqrt(epsilon)]; so the recorded raw
 trace can rise by at most that gap.
+
+Every solve with Q = X^T X + gamma G, G = diag(gamma_diag), factors a
+matrix of size min(n, d), by the input's shape alone (``_uses_dual_form``):
+Q itself when d <= n, and otherwise the n x n dual matrix K = I + X D X^T
+with D = (gamma G)^{-1}, a finite diagonal because gamma_diag > 0. By the
+Woodbury identity
+
+    Q^{-1} X^T = D X^T K^{-1},    I - X Q^{-1} X^T = K^{-1},
+
+so both forms give the same P and the same embedding operator. A solve
+costs O(min(n, d)^3 + n d min(n, d)): the factorization plus forming
+X^T X or K.
 """
 
 from dataclasses import dataclass, field, replace
@@ -114,10 +126,32 @@ def _fused_columns(views: list[AffinityGraph], w: np.ndarray) -> np.ndarray:
     return fused
 
 
-def _regularized_gram(x: np.ndarray, gamma: float, gamma_diag: np.ndarray) -> np.ndarray:
-    q = x.T @ x
+def _regularized_gram(gram: np.ndarray, gamma: float, gamma_diag: np.ndarray) -> np.ndarray:
+    """Q = X^T X + gamma * diag(gamma_diag) from X^T X, which is left unchanged."""
+    q = gram.copy()
     q[np.diag_indices_from(q)] += gamma * gamma_diag
     return q
+
+
+def _uses_dual_form(x: np.ndarray) -> bool:
+    """Whether solves with Q factor the n x n dual matrix K instead of the
+    d x d Q: whichever is smaller."""
+    return x.shape[1] > x.shape[0]
+
+
+def _dual_gram(
+    x: np.ndarray, gamma: float, gamma_diag: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K = I + X D X^T with D = (gamma * diag(gamma_diag))^{-1}.
+
+    Built as Y Y^T + I with Y = X sqrt(D), a symmetric rank-d product.
+    Returns (K, sqrt(diag D), Y).
+    """
+    root = 1.0 / np.sqrt(gamma * gamma_diag)
+    y = x * root
+    k = y @ y.T
+    k[np.diag_indices_from(k)] += 1.0
+    return k, root, y
 
 
 def _row_norms(p: np.ndarray) -> np.ndarray:
@@ -143,11 +177,24 @@ def _smoothed_regression_objective(
 
 
 def _solve_projection(
-    x: np.ndarray, f: np.ndarray, gamma: float, gamma_diag: np.ndarray
+    x: np.ndarray,
+    f: np.ndarray,
+    gamma: float,
+    gamma_diag: np.ndarray,
+    normal: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """P = Q^{-1} X^T F with Q = X^T X + gamma * diag(gamma_diag): the
-    minimizer over P of ||X P - F||^2 + gamma * Tr(P^T G P)."""
-    return solve_spd(_regularized_gram(x, gamma, gamma_diag), x.T @ f)
+    minimizer over P of ||X P - F||^2 + gamma * Tr(P^T G P).
+
+    Factors min(n, d) (module docstring): Q when d <= n, where ``normal``
+    may carry a precomputed (X^T X, X^T F); otherwise K, with
+    P = D X^T K^{-1} F = sqrt(D) Y^T K^{-1} F.
+    """
+    if _uses_dual_form(x):
+        k, root, y = _dual_gram(x, gamma, gamma_diag)
+        return root[:, None] * (y.T @ solve_spd(k, f))
+    gram, xtf = (x.T @ x, x.T @ f) if normal is None else normal
+    return solve_spd(_regularized_gram(gram, gamma, gamma_diag), xtf)
 
 
 def _irls_loop(
@@ -169,13 +216,16 @@ def _irls_loop(
     history and the stop rule therefore track h, not the raw row-norm sum,
     which can rise by up to gamma * d * sqrt(epsilon) per step.
 
+    Each step is one ``_solve_projection``: one factorization of size
+    min(n, d), of Q when d <= n and of K = I + X D X^T when d > n, for
+    O(min(n, d)^3 + n d min(n, d)) per step (X^T X and X^T F are formed
+    once).
+
     Returns the final projection, the diagonal weights used for its solve
     (so the pair is exactly stationary for the weighted quadratic), and h
     before the first and after every solve.
     """
-    gram = x.T @ x
-    xtf = x.T @ f
-    diag = np.diag_indices_from(gram)
+    normal = None if _uses_dual_form(x) else (x.T @ x, x.T @ f)
     p = p0
     prev = _smoothed_regression_objective(x, p, f, hp.gamma, hp.epsilon)
     history = [prev]
@@ -184,9 +234,7 @@ def _irls_loop(
         # exits, `weights` is the reweighting the returned `p` was solved
         # with, so the pair is exactly stationary for its quadratic.
         weights = _reweighting_of(p, hp.epsilon)
-        q = gram.copy()
-        q[diag] += hp.gamma * weights
-        p = solve_spd(q, xtf)
+        p = _solve_projection(x, f, hp.gamma, weights, normal)
         cur = _smoothed_regression_objective(x, p, f, hp.gamma, hp.epsilon)
         history.append(cur)
         if abs(prev - cur) <= INNER_TOL * max(abs(prev), 1e-30):
@@ -212,11 +260,19 @@ def _embedding_operator(
     s: AffinityGraph, x: np.ndarray, gamma_diag: np.ndarray, hp: Hyperparams
 ) -> np.ndarray:
     """Symmetric operator alpha * L_S + beta * (I - X Q^{-1} X^T) whose
-    bottom eigenvectors give the indicator (see ``update_f``)."""
+    bottom eigenvectors give the indicator (see ``update_f``).
+
+    The complement I - X Q^{-1} X^T is K^{-1} when d > n (module docstring).
+    """
     lap = laplacian_of(s).matrix
-    q = _regularized_gram(x, hp.gamma, gamma_diag)
-    back = solve_spd(q, x.T)  # Q^{-1} X^T without forming the inverse
-    m = hp.alpha * lap + hp.beta * (np.eye(x.shape[0]) - x @ back)
+    n = x.shape[0]
+    if _uses_dual_form(x):
+        complement = solve_spd(_dual_gram(x, hp.gamma, gamma_diag)[0], np.eye(n))
+    else:
+        q = _regularized_gram(x.T @ x, hp.gamma, gamma_diag)
+        back = solve_spd(q, x.T)  # Q^{-1} X^T without forming the inverse
+        complement = np.eye(n) - x @ back
+    m = hp.alpha * lap + hp.beta * complement
     return 0.5 * (m + m.T)
 
 
@@ -232,7 +288,10 @@ def update_f(state: SolverState, x: np.ndarray, hp: Hyperparams) -> np.ndarray:
     Q = X^T X + gamma G, and substituting it back leaves
     beta Tr(F^T (I - X Q^{-1} X^T) F). Over F with F^T F = I the remainder
     Tr(F^T (alpha L_S + beta (I - X Q^{-1} X^T)) F) is minimized by the k
-    bottom eigenvectors of that operator (Ky Fan). The caller completes the
+    bottom eigenvectors of that operator (Ky Fan). When d > n the operator
+    is built in the dual form, I - X Q^{-1} X^T = (I + X (gamma G)^{-1}
+    X^T)^{-1}, so its cost is O(min(n, d)^3 + n d min(n, d)) plus the
+    eigensolve, never a d x d factorization. The caller completes the
     joint minimizer by re-solving P = Q^{-1} X^T F with the same G
     (``fit`` does); the eigenvectors' sign and rotation are arbitrary, so a
     P kept from before this update is stale.

@@ -1,10 +1,13 @@
 import json
+import os
+from pathlib import Path
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import acsl
 from acsl.cli import main
 
 
@@ -142,12 +145,17 @@ def test_numeric_failure_exits_3(dataset_dir, tmp_path, monkeypatch):
 
 
 def test_console_entry_point_runs(tmp_path):
+    # The child process imports the same acsl as this one, also when it was
+    # found through pytest's `pythonpath` setting rather than PYTHONPATH.
+    paths = [str(Path(acsl.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "acsl.cli", "generate",
          "--clusters", "2", "--n-per-cluster", "5", "--views", "6:0.5:0.5",
          "--seed", "1", "--output-dir", str(tmp_path / "d")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "wrote" in proc.stdout

@@ -12,6 +12,8 @@ from acsl.solver import (
     _embedding_operator,
     _indicator_sq_distances,
     _irls_loop,
+    _solve_projection,
+    _uses_dual_form,
     fit,
     initialize,
     objective,
@@ -24,6 +26,9 @@ from acsl.solver import (
 from helpers import blob_problem, random_affinity, random_orthonormal, random_state
 
 TINY_ALPHA = 1e-15
+# Blob problem with n=12 samples and d=40 stacked dims: solves with Q take
+# the dual (n x n) form.
+WIDE = {"n_per_cluster": 4, "d_v": 20}
 
 
 def regression_objective(x, p, f, gamma):
@@ -107,8 +112,9 @@ def test_update_p_identity_design_recovers_indicator():
 
 
 def test_update_p_zeroes_the_reweighted_gradient():
-    for seed in range(5):
-        state, graphs, x, hp = random_state(seed, gamma=0.5)
+    # The second shape (n=12, d=40) takes the dual form of the solve.
+    for seed, shape in itertools.product(range(5), ({}, WIDE)):
+        state, graphs, x, hp = random_state(seed, gamma=0.5, **shape)
         p, gd = update_p(state, x, hp)
         grad = 2.0 * x.T @ (x @ p - state.f) + 2.0 * hp.gamma * gd[:, None] * p
         assert np.linalg.norm(grad) <= 1e-6 * (1.0 + np.linalg.norm(p))
@@ -240,6 +246,69 @@ def test_update_f_ky_fan_consistency_against_random_bases():
     for _ in range(50):
         g = random_orthonormal(rng, x.shape[0], hp.k)
         assert ours <= np.trace(g.T @ m @ g) + 1e-8
+
+
+# ------------------------------------------------- primal and dual forms
+
+# (12, 12) and (12, 13) sit on either side of the switch to the dual form.
+SHAPES = [(12, 40), (12, 12), (12, 13), (40, 12)]
+
+
+def dense_state(seed, n, d, k=2):
+    """A state on Gaussian features of shape (n, d) with a random positive
+    reweighting, and hyperparameters away from 1."""
+    rng = np.random.default_rng(seed)
+    state = SolverState(p=rng.normal(size=(d, k)), f=random_orthonormal(rng, n, k),
+                        s=random_affinity(rng, n), w=np.ones((1, n)),
+                        gamma_diag=rng.uniform(0.2, 5.0, size=d))
+    return state, rng.normal(size=(n, d)), Hyperparams(k=k, alpha=0.7, beta=1.3, gamma=0.5)
+
+
+def explicit_q(x, hp, gamma_diag):
+    return x.T @ x + hp.gamma * np.diag(gamma_diag)
+
+
+def test_dual_form_is_taken_exactly_when_d_exceeds_n():
+    assert [_uses_dual_form(np.zeros(shape)) for shape in SHAPES] == [True, False, True, False]
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_embedding_operator_matches_explicit_formula(n, d):
+    state, x, hp = dense_state(52, n, d)
+    back = np.linalg.solve(explicit_q(x, hp, state.gamma_diag), x.T)
+    expected = hp.alpha * laplacian_of(state.s).matrix + hp.beta * (np.eye(n) - x @ back)
+    expected = 0.5 * (expected + expected.T)
+    m = _embedding_operator(state.s, x, state.gamma_diag, hp)
+    assert np.linalg.norm(m - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_solve_projection_matches_explicit_formula(n, d):
+    state, x, hp = dense_state(53, n, d)
+    expected = np.linalg.solve(explicit_q(x, hp, state.gamma_diag), x.T @ state.f)
+    p = _solve_projection(x, state.f, hp.gamma, state.gamma_diag)
+    assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_irls_history_never_rises_in_dual_form():
+    for seed in range(5):
+        state, graphs, x, hp = random_state(seed, gamma=2.0, **WIDE)
+        assert _uses_dual_form(x)
+        for _ in range(4):
+            state.p, state.gamma_diag, history = _irls_loop(x, state.f, state.p, hp)
+            assert np.diff(history).max() <= 1e-9
+            state.f = update_f(state, x, hp)
+
+
+def test_irls_loop_in_dual_form_follows_the_explicit_primal_iterates():
+    state, graphs, x, hp = random_state(54, gamma=1.0, **WIDE)
+    p, weights, history = _irls_loop(x, state.f, state.p, hp)
+    ref = state.p
+    for _ in range(len(history) - 1):
+        ref_weights = 1.0 / (2.0 * np.sqrt(np.sum(ref * ref, axis=1) + hp.epsilon))
+        ref = np.linalg.solve(explicit_q(x, hp, ref_weights), x.T @ state.f)
+    assert np.linalg.norm(weights - ref_weights) <= 1e-8 * np.linalg.norm(ref_weights)
+    assert np.linalg.norm(p - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------------------- update_s
