@@ -13,12 +13,12 @@ import os
 import sys
 from pathlib import Path
 
-from .data import DatasetManifest, load_dataset, save_dataset
+from .data import DatasetManifest, save_dataset
 from .errors import ConfigError, NumericError
 from .experiment import (
     DEFAULT_GRID,
     RunConfig,
-    build_graphs,
+    _load_problem,
     emit_trace,
     run_experiment,
     run_grid,
@@ -122,10 +122,8 @@ def _add_eval_flags(sub: argparse.ArgumentParser) -> None:
 
 def _fit_state(args):
     manifest = DatasetManifest.from_file(args.manifest)
-    dataset = load_dataset(manifest)
-    graphs = build_graphs(dataset, args.k_neighbors)
-    state = fit(graphs, dataset.stacked, _hyperparams(args))
-    return manifest, dataset, state
+    dataset, _, graphs = _load_problem(manifest, args.k_neighbors)
+    return dataset, fit(graphs, dataset.stacked, _hyperparams(args))
 
 
 def cmd_generate(args) -> int:
@@ -149,7 +147,7 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     out = _output_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    _, dataset, state = _fit_state(args)
+    dataset, state = _fit_state(args)
     emit_trace(state, out / "trace.csv")
     ranking = rank_features(state.p, view_of=dataset.view_of)
     lines = ["dimension,view,score"]
@@ -192,7 +190,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    _, _, state = _fit_state(args)
+    _, state = _fit_state(args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     emit_trace(state, out)

@@ -6,7 +6,7 @@ and empty-cluster repair are fully deterministic given the seed, which the
 experiment pipeline relies on for reproducible reports.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -145,8 +145,7 @@ class EvalReport:
     """Clustering quality of one selected-feature subset.
 
     Mean/std of ACC and NMI over the evaluation runs (one k-means per
-    evaluation seed), plus the solver trace and final component count for
-    context.
+    evaluation seed).
     """
 
     acc_mean: float
@@ -155,8 +154,6 @@ class EvalReport:
     nmi_std: float
     runs: int
     selected_count: int
-    objective_trace: list[float] = field(default_factory=list)
-    components_final: int = 0
 
     def __post_init__(self):
         if self.runs < 1:

@@ -114,6 +114,17 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
+def _load_problem(manifest: DatasetManifest, k_neighbors: int):
+    """(dataset, labels or None, view graphs): all a fit needs that does not
+    depend on alpha, beta or gamma."""
+    with _stage("loading dataset"):
+        dataset = load_dataset(manifest)
+        labels = load_labels(manifest)
+        if labels is not None and labels.size != dataset.n:
+            raise ConfigError(f"{labels.size} labels for {dataset.n} samples")
+    return dataset, labels, build_graphs(dataset, k_neighbors)
+
+
 def run_experiment(manifest: DatasetManifest, config: RunConfig) -> dict:
     """Full pipeline on one dataset; returns the results payload.
 
@@ -121,13 +132,14 @@ def run_experiment(manifest: DatasetManifest, config: RunConfig) -> dict:
     config.output_dir. Clustering metrics require labels in the manifest;
     without them the selections carry indices only.
     """
+    return _run_problem(_load_problem(manifest, config.k_neighbors), config)
+
+
+def _run_problem(problem, config: RunConfig) -> dict:
+    """``run_experiment`` on a problem from ``_load_problem``."""
+    dataset, labels, graphs = problem
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    with _stage("loading dataset"):
-        dataset = load_dataset(manifest)
-        labels = load_labels(manifest)
-    graphs = build_graphs(dataset, config.k_neighbors)
     x = dataset.stacked
 
     l_grid = config.l_grid if config.l_grid is not None else (dataset.d,)
@@ -158,23 +170,11 @@ def run_experiment(manifest: DatasetManifest, config: RunConfig) -> dict:
                     config.kmeans_restarts,
                     config.eval_seeds,
                 )
-            report = EvalReport(
-                acc_mean=float(accs.mean()),
-                acc_std=float(accs.std()),
-                nmi_mean=float(nmis.mean()),
-                nmi_std=float(nmis.std()),
-                runs=len(config.eval_seeds),
-                selected_count=int(l),
-                objective_trace=[float(v) for v in state.objective_trace],
-                components_final=comps,
-            )
-            entry.update(
-                acc_mean=report.acc_mean,
-                acc_std=report.acc_std,
-                nmi_mean=report.nmi_mean,
-                nmi_std=report.nmi_std,
-                runs=report.runs,
-            )
+            metrics = dict(acc_mean=float(accs.mean()), acc_std=float(accs.std()),
+                           nmi_mean=float(nmis.mean()), nmi_std=float(nmis.std()),
+                           runs=len(config.eval_seeds))
+            EvalReport(selected_count=int(l), **metrics)  # checks the [0, 1] ranges
+            entry.update(metrics)
         else:
             entry.update(acc_mean=None, acc_std=None, nmi_mean=None, nmi_std=None,
                          runs=0)
@@ -205,11 +205,11 @@ def run_experiment(manifest: DatasetManifest, config: RunConfig) -> dict:
 
 
 def _grid_point(args) -> dict:
-    manifest, config, alpha, beta, gamma = args
+    problem, config, alpha, beta, gamma = args
     hp = replace(config.hyperparams, alpha=alpha, beta=beta, gamma=gamma)
     sub = Path(config.output_dir) / f"grid_a{alpha:g}_b{beta:g}_g{gamma:g}"
     point_config = replace(config, hyperparams=hp, output_dir=str(sub))
-    payload = run_experiment(manifest, point_config)
+    payload = _run_problem(problem, point_config)
     best_acc = max(
         (s["acc_mean"] for s in payload["selections"] if s["acc_mean"] is not None),
         default=None,
@@ -232,14 +232,16 @@ def run_grid(
 ) -> dict:
     """Sweep alpha, beta, gamma over `values`, one experiment per point.
 
+    The dataset is loaded and its view graphs built once for all points.
     Points run in a process pool when jobs > 1; each writes to its own
     subdirectory. The summary reports every point and the best by mean
     clustering accuracy (ties keep the earliest point in grid order).
     """
-    if load_labels(manifest) is None:
+    problem = _load_problem(manifest, config.k_neighbors)
+    if problem[1] is None:
         raise ConfigError("grid mode needs labels to rank configurations by accuracy")
     combos = [
-        (manifest, config, a, b, g)
+        (problem, config, a, b, g)
         for a, b, g in itertools.product(values, values, values)
     ]
     if jobs > 1:

@@ -328,49 +328,37 @@ def update_s(
     return AffinityGraph(project_simplex_columns(fused - 0.25 * hp.alpha * shift))
 
 
-def _min_quadratic_weights(gram: np.ndarray) -> np.ndarray:
-    """Minimize w^T gram w subject to sum(w) = 1.
-
-    Solved through gram^{-1} 1 normalized to unit sum. An exactly singular
-    gram (identical views) can slip through Cholesky with a junk pivot, so
-    near-singularity is detected by the smallest eigenvalue and met with a
-    symmetric ridge delta * I, delta = 1e-10 * trace / V. A gram that is
-    singular even ridged (identically zero) makes every feasible w optimal
-    and uniform weights are returned.
-    """
-    v = gram.shape[0]
-    ones = np.ones(v)
-    trace = float(np.trace(gram))
-    if trace <= 0.0:
-        return ones / v
-    smallest = np.linalg.eigvalsh(gram)[0]
-    if smallest <= 1e-12 * trace / v:
-        gram = gram + (1e-10 * trace / v) * np.eye(v)
-    try:
-        y = solve_spd(gram, ones)
-    except NumericError:
-        return ones / v
-    total = y.sum()
-    if not np.isfinite(total) or total <= 0:
-        return ones / v
-    return y / total
-
-
 def update_w(state: SolverState, views: list[AffinityGraph]) -> np.ndarray:
-    """View-weight update: per-column minimum of the fusion residual.
+    """View-weight update: exact per-column minimizer of the fusion term,
+    all n columns in one batched V x V solve.
 
-    For column j, stacking b_v = s_j - s_j^v as the columns of B_j, the
-    minimizer of ||B_j w||^2 over sum(w) = 1 is (B_j^T B_j)^{-1} 1
-    renormalized to unit sum. Entries may be negative.
+    With b_v = s_j - s_j^v as the columns of B_j, column j minimizes
+    w^T G_j w, G_j = B_j^T B_j, subject to sum(w) = 1. The Lagrange
+    condition 2 G_j w = lambda 1 gives w = G_j^{-1} 1 / (1^T G_j^{-1} 1).
+    Entries may be negative. Degenerate columns, with t_j = trace(G_j) / V:
+    a zero Gram (s_j equals every view's column) makes every feasible w
+    optimal and is solved as I, which yields uniform weights; a Gram with
+    smallest eigenvalue <= 1e-12 t_j (coinciding views) gets the ridge
+    1e-10 t_j I; a solve whose sum is non-finite or not positive gets
+    uniform weights. After the mask and the ridge every Gram in the batch
+    has smallest eigenvalue above 1e-12 t_j > 0 (or is I), so
+    ``np.linalg.solve`` meets no singular matrix and cannot raise.
     """
-    v = len(views)
     s = state.s.matrix
     b = s[None, :, :] - np.stack([g.matrix for g in views])  # (V, n, n)
-    grams = np.einsum("vij,uij->jvu", b, b)  # per-column V x V Gram matrices
-    w = np.empty((v, s.shape[0]))
-    for j in range(s.shape[0]):
-        w[:, j] = _min_quadratic_weights(grams[j])
-    return w
+    grams = np.einsum("vij,uij->jvu", b, b)  # (n, V, V), one Gram per column
+    v = grams.shape[1]
+    scale = np.trace(grams, axis1=1, axis2=2) / v
+    smallest = np.linalg.eigvalsh(grams)[:, 0]
+    ridge = np.where(smallest <= 1e-12 * scale, 1e-10 * scale, 0.0)
+    ridge[scale <= 0.0] = 1.0  # a zero Gram is solved as I
+    ridged = grams + ridge[:, None, None] * np.eye(v)
+    y = np.linalg.solve(ridged, np.ones((len(s), v, 1)))[:, :, 0]
+    total = y.sum(axis=1)
+    ok = np.isfinite(total) & (total > 0)
+    w = np.full_like(y, 1.0 / v)
+    w[ok] = y[ok] / total[ok, None]
+    return w.T
 
 
 def objective(

@@ -129,6 +129,25 @@ def test_output_dir_env_override(dataset_dir, tmp_path, monkeypatch):
     assert (target / "trace.csv").exists()
 
 
+def test_label_count_mismatch_exits_2_before_fitting(dataset_dir, tmp_path, capsys):
+    # Without a declared n, only the data itself can tell that the label
+    # file has one line too many; the check must come before the fit.
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    manifest["n"] = None
+    (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
+    with open(dataset_dir / "labels.txt", "a") as fh:
+        fh.write("0\n")
+    out = tmp_path / "o"
+    code = main([
+        "evaluate", str(dataset_dir / "manifest.json"), "--clusters", "3",
+        "--k-neighbors", "8", "--output-dir", str(out),
+    ])
+    assert code == 2
+    assert "46 labels for 45 samples" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+    assert not (out / "results.json").exists()
+
+
 def test_numeric_failure_exits_3(dataset_dir, tmp_path, monkeypatch):
     import acsl.cli as cli_module
     from acsl.errors import NumericError

@@ -149,6 +149,32 @@ def test_grid_reports_best_point(synthetic_manifest, tmp_path):
     assert (sub / "results.json").exists()
 
 
+def test_grid_loads_dataset_and_builds_graphs_once(synthetic_manifest, tmp_path,
+                                                   monkeypatch):
+    import acsl.experiment as experiment
+
+    calls = {"load_dataset": 0, "build_view_affinity": 0}
+
+    def counting(name):
+        original = getattr(experiment, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, wrapper)
+
+    counting("load_dataset")
+    counting("build_view_affinity")
+    config = quick_config(
+        tmp_path / "grid", hyperparams=Hyperparams(k=3, max_outer_iters=2),
+        l_grid=(6,), eval_seeds=(0,),
+    )
+    summary = run_grid(synthetic_manifest, config, values=(0.5, 2.0), jobs=1)
+    assert len(summary["points"]) == 8
+    assert calls == {"load_dataset": 1, "build_view_affinity": 2}
+
+
 def test_grid_requires_labels(synthetic_manifest, tmp_path):
     unlabeled = DatasetManifest(
         name="x", views=synthetic_manifest.views, labels_path=None,

@@ -431,6 +431,35 @@ def test_update_w_matches_kkt_system_oracle():
             assert np.abs(w[:, j] - sol[:nviews]).max() <= 1e-8
 
 
+def test_update_w_batch_mixes_zero_coinciding_and_generic_columns():
+    # One call whose columns take every path of the batched solve: column 0
+    # has a zero Gram (s_0 equals both views' columns), columns 1-3 have two
+    # coinciding views (a rank-one Gram, ridged), the rest are generic.
+    rng = np.random.default_rng(44)
+    n = 10
+    a = random_affinity(rng, n).matrix
+    b = random_affinity(rng, n).matrix
+    s = random_affinity(rng, n).matrix
+    b[:, :4] = a[:, :4]
+    s[:, 0] = a[:, 0]
+    views = [AffinityGraph(a), AffinityGraph(b)]
+    state = SolverState(p=np.zeros((2, 2)), f=np.zeros((n, 2)), s=AffinityGraph(s),
+                        w=np.full((2, n), 0.5), gamma_diag=np.ones(2))
+    w = update_w(state, views)
+    assert np.array_equal(w[:, 0], [0.5, 0.5])
+    # The ridge 1e-10 * trace / V leaves a condition number near 2e10, so
+    # the even split holds to about machine epsilon times that.
+    assert np.abs(w[:, 1:4] - 0.5).max() <= 1e-5
+    assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-12
+    for j in range(4, n):
+        bj = np.stack([s[:, j] - a[:, j], s[:, j] - b[:, j]], axis=1)
+        kkt = np.zeros((3, 3))
+        kkt[:2, :2] = 2.0 * bj.T @ bj
+        kkt[:2, 2] = kkt[2, :2] = 1.0
+        sol = np.linalg.solve(kkt, [0.0, 0.0, 1.0])
+        assert np.abs(w[:, j] - sol[:2]).max() <= 1e-8
+
+
 def test_update_w_columns_sum_to_one():
     state, graphs, x, hp = random_state(42, n_views=3)
     w = update_w(state, graphs)
