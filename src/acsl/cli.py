@@ -19,12 +19,13 @@ from .experiment import (
     DEFAULT_GRID,
     RunConfig,
     _load_problem,
+    _staged_fit,
     emit_trace,
     run_experiment,
     run_grid,
 )
 from .selection import rank_features
-from .solver import Hyperparams, fit
+from .solver import Hyperparams
 from .synthetic import generate_synthetic
 
 EXIT_OK = 0
@@ -123,7 +124,7 @@ def _add_eval_flags(sub: argparse.ArgumentParser) -> None:
 def _fit_state(args):
     manifest = DatasetManifest.from_file(args.manifest)
     dataset, _, graphs = _load_problem(manifest, args.k_neighbors)
-    return dataset, fit(graphs, dataset.stacked, _hyperparams(args))
+    return dataset, _staged_fit(graphs, dataset.stacked, _hyperparams(args))
 
 
 def cmd_generate(args) -> int:

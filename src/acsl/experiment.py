@@ -8,7 +8,7 @@ uses a fixed 17-significant-digit float format.
 
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 import itertools
 import json
 from pathlib import Path
@@ -94,20 +94,6 @@ def _solver_diagnostics(state: SolverState) -> dict:
     }
 
 
-def _hyperparams_dict(hp: Hyperparams) -> dict:
-    return {
-        "alpha": hp.alpha,
-        "beta": hp.beta,
-        "gamma": hp.gamma,
-        "k": hp.k,
-        "epsilon": hp.epsilon,
-        "max_outer_iters": hp.max_outer_iters,
-        "max_inner_iters": hp.max_inner_iters,
-        "tol_rel_objective": hp.tol_rel_objective,
-        "adaptive_alpha": hp.adaptive_alpha,
-    }
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -123,6 +109,12 @@ def _load_problem(manifest: DatasetManifest, k_neighbors: int):
         if labels is not None and labels.size != dataset.n:
             raise ConfigError(f"{labels.size} labels for {dataset.n} samples")
     return dataset, labels, build_graphs(dataset, k_neighbors)
+
+
+def _staged_fit(graphs, x: np.ndarray, hp: Hyperparams) -> SolverState:
+    """``fit`` in the "fitting" stage, so its errors name the stage."""
+    with _stage("fitting"):
+        return fit(graphs, x, hp)
 
 
 def run_experiment(manifest: DatasetManifest, config: RunConfig) -> dict:
@@ -147,8 +139,7 @@ def _run_problem(problem, config: RunConfig) -> dict:
     if bad:
         raise ConfigError(f"l_grid entries {bad} exceed the {dataset.d} stacked dimensions")
 
-    with _stage("fitting"):
-        state = fit(graphs, x, config.hyperparams)
+    state = _staged_fit(graphs, x, config.hyperparams)
     emit_trace(state, out / "trace.csv")
 
     ranking = rank_features(state.p, view_of=dataset.view_of)
@@ -186,7 +177,7 @@ def _run_problem(problem, config: RunConfig) -> dict:
         "n": dataset.n,
         "d": dataset.d,
         "view_dims": dataset.dims,
-        "hyperparams": _hyperparams_dict(config.hyperparams),
+        "hyperparams": asdict(config.hyperparams),
         "config": {
             "k_neighbors": config.k_neighbors,
             "l_grid": [int(l) for l in l_grid],

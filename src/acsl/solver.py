@@ -33,6 +33,7 @@ costs O(min(n, d)^3 + n d min(n, d)): the factorization plus forming
 X^T X or K.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -258,26 +259,33 @@ def update_p(
 
 def _embedding_operator(
     s: AffinityGraph, x: np.ndarray, gamma_diag: np.ndarray, hp: Hyperparams
-) -> np.ndarray:
-    """Symmetric operator alpha * L_S + beta * (I - X Q^{-1} X^T) whose
-    bottom eigenvectors give the indicator (see ``update_f``).
-
-    The complement I - X Q^{-1} X^T is K^{-1} when d > n (module docstring).
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """(alpha * L_S + beta * C, F -> Q^{-1} X^T F) with C = I - X Q^{-1} X^T,
+    both from one factorization; see ``update_f``. When d > n, C = K^{-1} and
+    Q^{-1} X^T F = D X^T K^{-1} F (module docstring). Otherwise P comes from
+    Q^{-1} X^T itself, not from the residual X^T C F, whose round-off
+    (gamma G)^{-1} would amplify. ``smallest_k_eigen`` symmetrizes the operator.
     """
     lap = laplacian_of(s).matrix
     n = x.shape[0]
     if _uses_dual_form(x):
-        complement = solve_spd(_dual_gram(x, hp.gamma, gamma_diag)[0], np.eye(n))
+        k, root, y = _dual_gram(x, hp.gamma, gamma_diag)
+        complement = solve_spd(k, np.eye(n))
+        def project(f: np.ndarray) -> np.ndarray:
+            return root[:, None] * (y.T @ (complement @ f))
     else:
         q = _regularized_gram(x.T @ x, hp.gamma, gamma_diag)
         back = solve_spd(q, x.T)  # Q^{-1} X^T without forming the inverse
         complement = np.eye(n) - x @ back
-    m = hp.alpha * lap + hp.beta * complement
-    return 0.5 * (m + m.T)
+        def project(f: np.ndarray) -> np.ndarray:
+            return back @ f
+    return hp.alpha * lap + hp.beta * complement, project
 
 
-def update_f(state: SolverState, x: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    """Indicator update: k smallest eigenvectors of the embedding operator.
+def update_f(
+    state: SolverState, x: np.ndarray, hp: Hyperparams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint (indicator, projection) update: returns (F, P).
 
     With the reweighting G = diag(gamma_diag) held fixed, the (F, P) part of
     the reweighted objective is
@@ -286,19 +294,17 @@ def update_f(state: SolverState, x: np.ndarray, hp: Hyperparams) -> np.ndarray:
 
     For fixed F its minimizer over P is P = Q^{-1} X^T F with
     Q = X^T X + gamma G, and substituting it back leaves
-    beta Tr(F^T (I - X Q^{-1} X^T) F). Over F with F^T F = I the remainder
-    Tr(F^T (alpha L_S + beta (I - X Q^{-1} X^T)) F) is minimized by the k
-    bottom eigenvectors of that operator (Ky Fan). When d > n the operator
-    is built in the dual form, I - X Q^{-1} X^T = (I + X (gamma G)^{-1}
-    X^T)^{-1}, so its cost is O(min(n, d)^3 + n d min(n, d)) plus the
-    eigensolve, never a d x d factorization. The caller completes the
-    joint minimizer by re-solving P = Q^{-1} X^T F with the same G
-    (``fit`` does); the eigenvectors' sign and rotation are arbitrary, so a
-    P kept from before this update is stale.
+    beta Tr(F^T C F), C = I - X Q^{-1} X^T. Over F with F^T F = I the
+    remainder Tr(F^T (alpha L_S + beta C) F) is minimized by the k bottom
+    eigenvectors of that operator (Ky Fan). The factorization that built C
+    also gives the matching P = Q^{-1} X^T F: when d > n, X^T C = (Q - X^T X)
+    Q^{-1} X^T = gamma G Q^{-1} X^T turns it into P = (gamma G)^{-1} X^T
+    (C F) with C = K^{-1}, for O(n^2 k + n d k). So the update costs
+    O(min(n, d)^3 + n d min(n, d)) plus the eigensolve.
     """
-    m = _embedding_operator(state.s, x, state.gamma_diag, hp)
-    _, vecs = smallest_k_eigen(m, hp.k)
-    return vecs
+    m, project = _embedding_operator(state.s, x, state.gamma_diag, hp)
+    _, f = smallest_k_eigen(m, hp.k)
+    return f, project(f)
 
 
 def _indicator_sq_distances(f: np.ndarray) -> np.ndarray:
@@ -389,7 +395,7 @@ def initialize(
     """Starting state: uniform view weights, the uniform fusion of the view
     graphs as the similarity structure, the indicator from the embedding
     operator of that structure with unit reweighting, and the projection
-    solved once against that indicator.
+    that ``update_f`` pairs with that indicator.
     """
     x = np.asarray(x, dtype=float)
     n = _check_problem(views, x, hp)
@@ -402,8 +408,7 @@ def initialize(
     gamma_diag = np.ones(d)
     state = SolverState(p=np.zeros((d, hp.k)), f=np.zeros((n, hp.k)), s=s,
                         w=w, gamma_diag=gamma_diag)
-    state.f = update_f(state, x, hp)
-    state.p = _solve_projection(x, state.f, hp.gamma, gamma_diag)
+    state.f, state.p = update_f(state, x, hp)
     state.objective_trace.append(objective(state, views, x, hp))
     state.components_trace.append(connected_components(s))
     state.alpha_trace.append(hp.alpha)
@@ -428,8 +433,8 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
                         >= J_eps after update_s    exact column minimizers
                         >= J_eps after update_w    exact column minimizers
 
-    where (F_new, P_new) are the bottom eigenvectors from ``update_f`` and
-    P_new = Q^{-1} X^T F_new with the gamma_diag of the last IRLS solve.
+    where (F_new, P_new = Q^{-1} X^T F_new) is the pair ``update_f``
+    returns for the gamma_diag of the last IRLS solve.
 
     With adaptive alpha enabled, alpha doubles while the structure has
     fewer than k components and halves while it has more; iterations that
@@ -437,14 +442,12 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
     state.converged False rather than raising.
     """
     x = np.asarray(x, dtype=float)
-    _check_problem(views, x, hp)
     state = initialize(views, x, hp)
     current = hp
     for it in range(1, hp.max_outer_iters + 1):
         try:
             state.p, state.gamma_diag = update_p(state, x, current)
-            state.f = update_f(state, x, current)
-            state.p = _solve_projection(x, state.f, current.gamma, state.gamma_diag)
+            state.f, state.p = update_f(state, x, current)
             state.s = update_s(state, views, current)
             state.w = update_w(state, views)
         except NumericError as exc:

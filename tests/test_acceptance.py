@@ -187,8 +187,8 @@ def test_criterion_4_oracle_equivalences():
         state, graphs, x, hp = random_state(
             3000 + i, n_per_cluster=5, k=2, n_views=1, d_v=6, noise=0.8,
         )
-        m = _embedding_operator(state.s, x, state.gamma_diag, hp)
-        f = update_f(state, x, hp)
+        m, _ = _embedding_operator(state.s, x, state.gamma_diag, hp)
+        f, _ = update_f(state, x, hp)
         target = np.linalg.eigvalsh(m)[: hp.k].sum()
         assert abs(np.trace(f.T @ m @ f) - target) <= 1e-8
 
@@ -279,7 +279,7 @@ def test_criterion_5b_inner_objective_non_increasing():
                 if increase > worst:
                     worst = increase
                     worst_where = (seed, it, step)
-            state.f = update_f(state, x, hp)
+            state.f, state.p = update_f(state, x, hp)
             state.s = update_s(state, graphs, hp)
             state.w = update_w(state, graphs)
     ok = worst <= DESCENT_SLACK
@@ -303,7 +303,7 @@ def test_criterion_6_constraint_invariants_every_iteration():
         state = initialize(graphs, x, hp)
         for _ in range(8):
             state.p, state.gamma_diag = update_p(state, x, hp)
-            state.f = update_f(state, x, hp)
+            state.f, state.p = update_f(state, x, hp)
             state.s = update_s(state, graphs, hp)
             state.w = update_w(state, graphs)
             assert (state.s.matrix >= 0).all()

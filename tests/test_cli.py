@@ -163,6 +163,25 @@ def test_numeric_failure_exits_3(dataset_dir, tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("verb", ["fit", "trace", "evaluate"])
+def test_numeric_failure_in_the_solver_names_the_fitting_stage(
+    verb, dataset_dir, tmp_path, monkeypatch, capsys
+):
+    import acsl.solver
+    from acsl.errors import NumericError
+
+    def boom(state, views):
+        raise NumericError("synthetic failure")
+
+    monkeypatch.setattr(acsl.solver, "update_w", boom)
+    code = main([
+        verb, str(dataset_dir / "manifest.json"), "--clusters", "3",
+        "--k-neighbors", "8", "--output-dir", str(tmp_path / "o"),
+    ])
+    assert code == 3
+    assert "fitting: outer iteration 1: synthetic failure" in capsys.readouterr().err
+
+
 def test_console_entry_point_runs(tmp_path):
     # The child process imports the same acsl as this one, also when it was
     # found through pytest's `pythonpath` setting rather than PYTHONPATH.

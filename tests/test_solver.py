@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from acsl import solver
 from acsl.errors import ConfigError
 from acsl.graph import AffinityGraph, connected_components, laplacian_of
-from acsl.numerics import project_simplex
+from acsl.numerics import project_simplex, solve_spd
 from acsl.solver import (
     Hyperparams,
     SolverState,
@@ -176,7 +177,7 @@ def test_irls_inner_history_is_monotone_up_to_smoothing_gap():
             gap = hp.gamma * x.shape[1] * np.sqrt(hp.epsilon)
             for before, after in zip(history, history[1:]):
                 assert after <= before + gap
-            state.f = update_f(state, x, hp)
+            state.f, state.p = update_f(state, x, hp)
 
 
 def test_irls_smoothed_objective_strictly_monotone():
@@ -206,7 +207,7 @@ def test_irls_smoothed_objective_strictly_monotone():
 def test_update_f_small_beta_reduces_to_laplacian_embedding():
     state, graphs, x, hp = random_state(29)
     hp_small = Hyperparams(k=hp.k, beta=1e-9)
-    f = update_f(state, x, hp_small)
+    f, _ = update_f(state, x, hp_small)
     lap = laplacian_of(state.s).matrix
     target = np.linalg.eigvalsh(lap)[: hp.k].sum()
     assert abs(np.trace(f.T @ lap @ f) - target) <= 1e-6
@@ -222,7 +223,7 @@ def test_update_f_disconnected_blocks_give_zero_trace():
     x = rng.normal(size=(8, 3))
     state = SolverState(p=np.zeros((3, 2)), f=np.zeros((8, 2)), s=s,
                         w=np.ones((1, 8)), gamma_diag=np.ones(3))
-    f = update_f(state, x, Hyperparams(k=2, beta=1e-9))
+    f, _ = update_f(state, x, Hyperparams(k=2, beta=1e-9))
     lap = laplacian_of(s).matrix
     assert np.trace(f.T @ lap @ f) <= 1e-8
 
@@ -230,8 +231,8 @@ def test_update_f_disconnected_blocks_give_zero_trace():
 def test_update_f_matches_full_eigendecomposition_oracle():
     for seed in range(10):
         state, graphs, x, hp = random_state(seed)
-        m = _embedding_operator(state.s, x, state.gamma_diag, hp)
-        f = update_f(state, x, hp)
+        m, _ = _embedding_operator(state.s, x, state.gamma_diag, hp)
+        f, _ = update_f(state, x, hp)
         target = np.linalg.eigvalsh(m)[: hp.k].sum()
         assert abs(np.trace(f.T @ m @ f) - target) <= 1e-8
         assert np.allclose(f.T @ f, np.eye(hp.k), atol=1e-10)
@@ -239,8 +240,8 @@ def test_update_f_matches_full_eigendecomposition_oracle():
 
 def test_update_f_ky_fan_consistency_against_random_bases():
     state, graphs, x, hp = random_state(31)
-    m = _embedding_operator(state.s, x, state.gamma_diag, hp)
-    f = update_f(state, x, hp)
+    m, _ = _embedding_operator(state.s, x, state.gamma_diag, hp)
+    f, _ = update_f(state, x, hp)
     ours = np.trace(f.T @ m @ f)
     rng = np.random.default_rng(32)
     for _ in range(50):
@@ -278,7 +279,7 @@ def test_embedding_operator_matches_explicit_formula(n, d):
     back = np.linalg.solve(explicit_q(x, hp, state.gamma_diag), x.T)
     expected = hp.alpha * laplacian_of(state.s).matrix + hp.beta * (np.eye(n) - x @ back)
     expected = 0.5 * (expected + expected.T)
-    m = _embedding_operator(state.s, x, state.gamma_diag, hp)
+    m, _ = _embedding_operator(state.s, x, state.gamma_diag, hp)
     assert np.linalg.norm(m - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -290,6 +291,36 @@ def test_solve_projection_matches_explicit_formula(n, d):
     assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+# The last case has a well-conditioned Q (cond(Q) ~ 8) and a small gamma:
+# P must still match the direct solve to near machine precision, which
+# recovering it from the residual X^T (I - X Q^-1 X^T) F, with its round-off
+# divided by gamma, misses (about 3e-11 here).
+@pytest.mark.parametrize(
+    "n,d,gamma,rtol", [(n, d, 0.5, 1e-10) for n, d in SHAPES] + [(40, 12, 1e-4, 1e-12)]
+)
+def test_update_f_projection_solves_the_regularized_system(n, d, gamma, rtol):
+    state, x, hp = dense_state(55, n, d)
+    hp = Hyperparams(k=hp.k, alpha=hp.alpha, beta=hp.beta, gamma=gamma)
+    f, p = update_f(state, x, hp)
+    expected = np.linalg.solve(explicit_q(x, hp, state.gamma_diag), x.T @ f)
+    assert np.linalg.norm(p - expected) <= rtol * np.linalg.norm(expected)
+
+
+def test_initialize_factors_once(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return solve_spd(a, b)
+
+    monkeypatch.setattr(solver, "solve_spd", counted)
+    for n_per_cluster, d_v in ((4, 20), (10, 3)):  # dual and primal form
+        graphs, x, labels, hp = blob_problem(56, n_per_cluster=n_per_cluster, d_v=d_v)
+        calls.clear()
+        initialize(graphs, x, hp)
+        assert len(calls) == 1
+
+
 def test_irls_history_never_rises_in_dual_form():
     for seed in range(5):
         state, graphs, x, hp = random_state(seed, gamma=2.0, **WIDE)
@@ -297,7 +328,7 @@ def test_irls_history_never_rises_in_dual_form():
         for _ in range(4):
             state.p, state.gamma_diag, history = _irls_loop(x, state.f, state.p, hp)
             assert np.diff(history).max() <= 1e-9
-            state.f = update_f(state, x, hp)
+            state.f, state.p = update_f(state, x, hp)
 
 
 def test_irls_loop_in_dual_form_follows_the_explicit_primal_iterates():
@@ -596,7 +627,7 @@ def test_fit_preserves_constraints_every_iteration():
     state = initialize(graphs, x, hp)
     for _ in range(6):
         state.p, state.gamma_diag = update_p(state, x, hp)
-        state.f = update_f(state, x, hp)
+        state.f, state.p = update_f(state, x, hp)
         state.s = update_s(state, graphs, hp)
         state.w = update_w(state, graphs)
         assert (state.s.matrix >= 0).all()
