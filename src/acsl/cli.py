@@ -80,7 +80,6 @@ def _hyperparams(args) -> Hyperparams:
         gamma=args.gamma,
         epsilon=args.epsilon,
         max_outer_iters=args.max_outer_iters,
-        max_inner_iters=args.max_inner_iters,
         tol_rel_objective=args.tol_rel_objective,
         adaptive_alpha=args.adaptive_alpha,
     )
@@ -104,11 +103,13 @@ def _add_hyperparam_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float, default=1.0, help="row-sparsity weight")
     sub.add_argument("--epsilon", type=float, default=1e-8, help="reweighting smoothing")
     sub.add_argument("--max-outer-iters", type=int, default=100)
-    sub.add_argument("--max-inner-iters", type=int, default=30)
     sub.add_argument("--tol-rel-objective", type=float, default=1e-6)
     sub.add_argument("--adaptive-alpha", action="store_true",
                      help="double/halve alpha to steer the component count to k")
     sub.add_argument("--k-neighbors", type=int, default=10)
+
+
+def _add_output_dir_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output-dir", default=None,
                      help=f"output directory (default ${OUTPUT_DIR_ENV} or ./results)")
 
@@ -214,23 +215,26 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-view d:noise:informative_fraction, comma-separated")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--delimiter", default=",")
-    gen.add_argument("--output-dir", default=None)
+    _add_output_dir_flag(gen)
     gen.set_defaults(func=cmd_generate)
 
     fit_p = sub.add_parser("fit", help="fit the solver and write trace + ranking")
     fit_p.add_argument("manifest")
     _add_hyperparam_flags(fit_p)
+    _add_output_dir_flag(fit_p)
     fit_p.set_defaults(func=cmd_fit)
 
     ev = sub.add_parser("evaluate", help="fit, select features, and score by clustering")
     ev.add_argument("manifest")
     _add_hyperparam_flags(ev)
+    _add_output_dir_flag(ev)
     _add_eval_flags(ev)
     ev.set_defaults(func=cmd_evaluate)
 
     grid = sub.add_parser("grid", help="sweep alpha/beta/gamma and report the best")
     grid.add_argument("manifest")
     _add_hyperparam_flags(grid)
+    _add_output_dir_flag(grid)
     _add_eval_flags(grid)
     grid.add_argument("--grid-values", default=None,
                       help="comma-separated values for each of alpha, beta, gamma")
@@ -240,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("trace", help="fit and write only the convergence trace")
     tr.add_argument("manifest")
     _add_hyperparam_flags(tr)
-    tr.add_argument("--out", default="trace.csv")
+    tr.add_argument("--out", default="trace.csv",
+                    help="trace CSV path (default ./trace.csv); the only destination: "
+                         f"trace takes no --output-dir and ignores ${OUTPUT_DIR_ENV}")
     tr.set_defaults(func=cmd_trace)
 
     return parser

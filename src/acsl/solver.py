@@ -11,11 +11,12 @@ reweighted quadratic. All updates work on the one objective that
         + beta (||X P - F||^2 + gamma sum_i ||p_i||),
 
 through its epsilon-smoothed form J_eps, which replaces ||p_i|| by
-sqrt(||p_i||^2 + epsilon). One outer iteration updates p, then (f, p)
-jointly, then s, then w. Each update is the exact minimizer of its block of
-J_eps, or a majorize-minimize (MM) step on it: it minimizes an upper bound
-of J_eps that touches J_eps at the current point. So with alpha fixed the
-outer loop never increases J_eps (see ``fit``). The raw objective differs
+sqrt(||p_i||^2 + epsilon). One outer iteration reweights once at the
+current p, then updates (f, p) jointly, then s, then w. The reweighting
+with the (f, p) update is one majorize-minimize (MM) step: it minimizes an
+upper bound of J_eps that touches J_eps at the current point. The s and w
+updates are exact minimizers of their blocks of J_eps. So with alpha fixed
+the outer loop never increases J_eps (see ``fit``). The raw objective differs
 from J_eps by beta * gamma * sum_i (sqrt(||p_i||^2 + epsilon) - ||p_i||),
 which lies in [0, beta * gamma * d * sqrt(epsilon)]; so the recorded raw
 trace can rise by at most that gap.
@@ -56,7 +57,9 @@ class Hyperparams:
     epsilon the smoothing constant keeping the reweighting finite on zero
     rows. With adaptive_alpha on, the fit loop doubles alpha while the
     learned structure has fewer than k components and halves it while it
-    has more.
+    has more. max_inner_iters bounds only the standalone reweighted
+    regression (``update_p``, ``_irls_loop``); ``fit`` reweights once per
+    outer iteration, whatever its value.
     """
 
     k: int
@@ -342,22 +345,26 @@ def update_w(state: SolverState, views: list[AffinityGraph]) -> np.ndarray:
     w^T G_j w, G_j = B_j^T B_j, subject to sum(w) = 1. The Lagrange
     condition 2 G_j w = lambda 1 gives w = G_j^{-1} 1 / (1^T G_j^{-1} 1).
     Entries may be negative. Degenerate columns, with t_j = trace(G_j) / V:
-    a zero Gram (s_j equals every view's column) makes every feasible w
-    optimal and is solved as I, which yields uniform weights; a Gram with
-    smallest eigenvalue <= 1e-12 t_j (coinciding views) gets the ridge
-    1e-10 t_j I; a solve whose sum is non-finite or not positive gets
-    uniform weights. After the mask and the ridge every Gram in the batch
-    has smallest eigenvalue above 1e-12 t_j > 0 (or is I), so
-    ``np.linalg.solve`` meets no singular matrix and cannot raise.
+    a Gram whose entries all equal one value c, as when the V views'
+    columns j coincide and every b_v is the same vector, gives
+    w^T G_j w = c (1^T w)^2, constant on the constraint, so every feasible
+    w is optimal; such a column (a zero Gram, s_j equal to every view's
+    column, is one) is solved as I and gets exactly 1/V. A Gram with
+    smallest eigenvalue <= 1e-12 t_j (nearly coinciding views) gets the
+    ridge 1e-10 t_j I; a solve whose sum is non-finite or not positive
+    gets uniform weights. Any other Gram has t_j > 0, so after the ridge
+    every Gram in the batch has smallest eigenvalue above 1e-12 t_j > 0
+    (or is I), and ``np.linalg.solve`` meets no singular matrix and cannot
+    raise.
     """
     s = state.s.matrix
     b = s[None, :, :] - np.stack([g.matrix for g in views])  # (V, n, n)
     grams = np.einsum("vij,uij->jvu", b, b)  # (n, V, V), one Gram per column
     v = grams.shape[1]
+    grams[(grams == grams[:, :1, :1]).all(axis=(1, 2))] = np.eye(v)  # G_j = c 11^T
     scale = np.trace(grams, axis1=1, axis2=2) / v
     smallest = np.linalg.eigvalsh(grams)[:, 0]
     ridge = np.where(smallest <= 1e-12 * scale, 1e-10 * scale, 0.0)
-    ridge[scale <= 0.0] = 1.0  # a zero Gram is solved as I
     ridged = grams + ridge[:, None, None] * np.eye(v)
     y = np.linalg.solve(ridged, np.ones((len(s), v, 1)))[:, :, 0]
     total = y.sum(axis=1)
@@ -420,21 +427,23 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
     below hp.tol_rel_objective or max_outer_iters is reached.
 
     One outer iteration with alpha fixed never increases the smoothed
-    objective J_eps (module docstring). Let P_0 be the projection at its
-    start, P_{m-1} the last iterate that ``update_p`` reweighted at, and
-    U(P, F) the reweighted bound of J_eps anchored at P_{m-1} (``_irls_loop``),
-    which equals J_eps at P = P_{m-1} and lies above it elsewhere:
+    objective J_eps (module docstring). It makes one MM step on P: let P_0
+    be the projection at its start, and U(P, F) the reweighted bound of
+    J_eps anchored at P_0 (``_irls_loop``), which equals J_eps at P = P_0
+    and lies above it elsewhere. ``update_p`` with one inner step returns
+    the reweighting at P_0 and the P_1 that minimizes U(., F_0); then
 
-        J_eps(P_0, F_0) >= J_eps(P_{m-1}, F_0)     IRLS steps are MM steps
-                         = U(P_{m-1}, F_0)
-                        >= U(P_m, F_0)             P_m minimizes U(., F_0)
-                        >= U(P_new, F_new)         joint minimizer of U
-                        >= J_eps(P_new, F_new)     U bounds J_eps above
-                        >= J_eps after update_s    exact column minimizers
-                        >= J_eps after update_w    exact column minimizers
+        J_eps(P_0, F_0) = U(P_0, F_0)
+                       >= U(P_1, F_0)              P_1 minimizes U(., F_0)
+                       >= U(P_new, F_new)          joint minimizer of U
+                       >= J_eps(P_new, F_new)      U bounds J_eps above
+                       >= J_eps after update_s     exact column minimizers
+                       >= J_eps after update_w     exact column minimizers
 
     where (F_new, P_new = Q^{-1} X^T F_new) is the pair ``update_f``
-    returns for the gamma_diag of the last IRLS solve.
+    returns for the reweighting at P_0. More inner steps would move the
+    anchor and also descend, at one solve each, but ``update_f`` replaces
+    P_1 anyway: one step keeps the chain at the least cost.
 
     With adaptive alpha enabled, alpha doubles while the structure has
     fewer than k components and halves while it has more; iterations that
@@ -446,7 +455,8 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
     current = hp
     for it in range(1, hp.max_outer_iters + 1):
         try:
-            state.p, state.gamma_diag = update_p(state, x, current)
+            state.p, state.gamma_diag = update_p(
+                state, x, replace(current, max_inner_iters=1))
             state.f, state.p = update_f(state, x, current)
             state.s = update_s(state, views, current)
             state.w = update_w(state, views)

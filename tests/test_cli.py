@@ -174,12 +174,26 @@ def test_numeric_failure_in_the_solver_names_the_fitting_stage(
         raise NumericError("synthetic failure")
 
     monkeypatch.setattr(acsl.solver, "update_w", boom)
+    out = tmp_path / "o"
+    dest = ["--out", str(out / "trace.csv")] if verb == "trace" else ["--output-dir", str(out)]
     code = main([
         verb, str(dataset_dir / "manifest.json"), "--clusters", "3",
-        "--k-neighbors", "8", "--output-dir", str(tmp_path / "o"),
+        "--k-neighbors", "8", *dest,
     ])
     assert code == 3
     assert "fitting: outer iteration 1: synthetic failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,flag", [
+    ("trace", "--output-dir"),  # --out is the trace's only destination
+    ("fit", "--max-inner-iters"),  # fit reweights once per outer iteration
+])
+def test_flags_that_would_be_ignored_are_usage_errors(verb, flag, dataset_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, str(dataset_dir / "manifest.json"), "--clusters", "3",
+              flag, str(tmp_path / "o") if flag == "--output-dir" else "5"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -321,6 +321,48 @@ def test_initialize_factors_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_fit_factors_twice_per_outer_iteration(monkeypatch):
+    # One solve in initialize, then per outer iteration one reweighted
+    # solve in update_p and one in update_f, whatever max_inner_iters is.
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return solve_spd(a, b)
+
+    monkeypatch.setattr(solver, "solve_spd", counted)
+    for n_per_cluster, d_v in ((4, 20), (10, 3)):  # dual and primal form
+        graphs, x, labels, hp = blob_problem(57, n_per_cluster=n_per_cluster, d_v=d_v,
+                                             max_outer_iters=3)
+        calls.clear()
+        state = fit(graphs, x, hp)
+        assert state.iteration == 3
+        assert len(calls) == 1 + 2 * state.iteration
+
+
+def test_fit_never_raises_the_smoothed_objective(monkeypatch):
+    # fit evaluates objective() at the start and after every outer
+    # iteration; record J_eps, the objective with sqrt(||p_i||^2 + eps)
+    # for ||p_i||, at the same states.
+    smoothed = []
+
+    def recording(state, views, x, hp):
+        value = objective(state, views, x, hp)
+        sq = np.sum(state.p * state.p, axis=1)
+        gap = np.sum(np.sqrt(sq + hp.epsilon) - np.sqrt(sq))
+        smoothed.append(value + hp.beta * hp.gamma * gap)
+        return value
+
+    monkeypatch.setattr(solver, "objective", recording)
+    for shape in (WIDE, {"n_per_cluster": 10, "d_v": 3}):  # d > n and d < n
+        for seed in range(20):
+            graphs, x, labels, hp = blob_problem(
+                seed, gamma=[0.1, 1.0, 10.0][seed % 3], max_outer_iters=8, **shape)
+            smoothed.clear()
+            fit(graphs, x, hp)
+            assert np.diff(smoothed).max() <= 1e-9 * max(1.0, abs(smoothed[0]))
+
+
 def test_irls_history_never_rises_in_dual_form():
     for seed in range(5):
         state, graphs, x, hp = random_state(seed, gamma=2.0, **WIDE)
@@ -489,6 +531,24 @@ def test_update_w_batch_mixes_zero_coinciding_and_generic_columns():
         kkt[:2, 2] = kkt[2, :2] = 1.0
         sol = np.linalg.solve(kkt, [0.0, 0.0, 1.0])
         assert np.abs(w[:, j] - sol[:2]).max() <= 1e-8
+
+
+def test_update_w_coinciding_views_split_exactly_evenly():
+    # Where the two views' columns coincide, every feasible w is optimal;
+    # the split must be the even one, not a ridge-perturbed approximation.
+    n = 10
+    worst = 0.0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        a = random_affinity(rng, n).matrix
+        b = random_affinity(rng, n).matrix
+        b[:, :3] = a[:, :3]
+        state = SolverState(p=np.zeros((2, 2)), f=np.zeros((n, 2)),
+                            s=random_affinity(rng, n), w=np.full((2, n), 0.5),
+                            gamma_diag=np.ones(2))
+        w = update_w(state, [AffinityGraph(a), AffinityGraph(b)])
+        worst = max(worst, np.abs(w[:, :3] - 0.5).max())
+    assert worst <= 1e-12
 
 
 def test_update_w_columns_sum_to_one():
