@@ -8,12 +8,11 @@ are still written).
 """
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from .data import DatasetManifest, save_dataset
+from .data import FLOAT_FORMAT, DatasetManifest, save_dataset, write_json, write_lines
 from .errors import ConfigError, NumericError
 from .experiment import (
     DEFAULT_GRID,
@@ -21,6 +20,7 @@ from .experiment import (
     _load_problem,
     _staged_fit,
     emit_trace,
+    fit_summary,
     run_experiment,
     run_grid,
 )
@@ -138,9 +138,7 @@ def cmd_generate(args) -> int:
         "per_view": [[int(i) for i in idx] for idx in dataset.informative_dims],
         "stacked": [int(i) for i in dataset.stacked_informative_dims()],
     }
-    (out / "informative_dims.json").write_text(
-        json.dumps(info, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "informative_dims.json", info)
     print(f"wrote {dataset.n}x[{','.join(str(d) for d in dataset.dims)}] dataset "
           f"to {manifest_path}")
     return EXIT_OK
@@ -148,23 +146,14 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     out = _output_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     dataset, state = _fit_state(args)
     emit_trace(state, out / "trace.csv")
     ranking = rank_features(state.p, view_of=dataset.view_of)
     lines = ["dimension,view,score"]
     for dim in ranking.order:
-        lines.append(f"{dim},{dataset.view_of[dim]},{ranking.scores[dim]:.17g}")
-    (out / "ranking.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    summary = {
-        "converged": state.converged,
-        "iterations": state.iteration,
-        "final_objective": float(state.objective_trace[-1]),
-        "components_final": int(state.components_trace[-1]),
-    }
-    (out / "fit.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        lines.append(f"{dim},{dataset.view_of[dim]},{FLOAT_FORMAT % ranking.scores[dim]}")
+    write_lines(out / "ranking.csv", lines)
+    write_json(out / "fit.json", fit_summary(state))
     print(f"fit: converged={state.converged} iterations={state.iteration} "
           f"components={state.components_trace[-1]}")
     return EXIT_OK if state.converged else EXIT_NOT_CONVERGED
@@ -194,7 +183,6 @@ def cmd_grid(args) -> int:
 def cmd_trace(args) -> int:
     _, state = _fit_state(args)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     emit_trace(state, out)
     print(f"wrote {len(state.objective_trace)} trace rows to {out}")
     return EXIT_OK if state.converged else EXIT_NOT_CONVERGED

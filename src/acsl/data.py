@@ -3,9 +3,13 @@
 A dataset is a list of per-view feature matrices over the same samples. The
 manifest is a small JSON file describing where each view lives on disk, how
 to parse it, and whether to z-score it on load.
+
+Every file acsl writes goes through `write_matrix`, `write_lines` or
+`write_json`, so all outputs share one format: 17-significant-digit floats,
+sorted-key JSON, a newline after every line.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 import json
 from pathlib import Path
@@ -121,7 +125,15 @@ class DatasetManifest:
         return Path(self.base_dir) / path
 
     @classmethod
+    def _file_keys(cls) -> set[str]:
+        """Top-level keys of a manifest file: every field but base_dir, which
+        is where the file lives, plus schema_version."""
+        return {f.name for f in fields(cls)} - {"base_dir"} | {"schema_version"}
+
+    @classmethod
     def from_file(cls, path: str | Path) -> "DatasetManifest":
+        """Read a manifest file. Unknown keys and a schema_version other than
+        MANIFEST_SCHEMA_VERSION are ConfigErrors; a missing one is accepted."""
         path = Path(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
@@ -129,42 +141,31 @@ class DatasetManifest:
             raise ConfigError(f"manifest file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"manifest {path} is not valid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"manifest {path} must hold a JSON object")
+        unknown = sorted(set(raw) - cls._file_keys())
+        if unknown:
+            raise ConfigError(f"manifest {path} has unknown key(s): {', '.join(unknown)}")
+        version = raw.pop("schema_version", MANIFEST_SCHEMA_VERSION)
+        if version != MANIFEST_SCHEMA_VERSION:
+            raise ConfigError(
+                f"manifest {path} has schema_version {version!r}; "
+                f"only {MANIFEST_SCHEMA_VERSION} is supported"
+            )
         try:
             views = [ViewSpec(**v) for v in raw["views"]]
-            return cls(
-                name=raw.get("name", path.stem),
-                views=views,
-                labels_path=raw.get("labels_path"),
-                n=raw.get("n"),
-                standardize=raw.get("standardize", True),
-                base_dir=str(path.parent),
-            )
+            return cls(**{"name": path.stem, **raw, "views": views,
+                          "base_dir": str(path.parent)})
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"manifest {path} has an invalid field: {exc}")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "name": self.name,
-            "views": [
-                {
-                    "path": v.path,
-                    "delimiter": v.delimiter,
-                    "has_header": v.has_header,
-                    "dims": v.dims,
-                }
-                for v in self.views
-            ],
-            "labels_path": self.labels_path,
-            "n": self.n,
-            "standardize": self.standardize,
-        }
+        keys = self._file_keys()
+        stored = {k: v for k, v in asdict(self).items() if k in keys}
+        return {**stored, "schema_version": MANIFEST_SCHEMA_VERSION}
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(path, self.to_dict())
 
 
 def _parse_matrix(path: Path, delimiter: str, has_header: bool) -> np.ndarray:
@@ -266,6 +267,19 @@ def write_matrix(path: str | Path, a: np.ndarray, delimiter: str = ",") -> None:
     np.savetxt(path, a, fmt=FLOAT_FORMAT, delimiter=delimiter)
 
 
+def write_lines(path: str | Path, lines) -> None:
+    """Write each of `lines` and a newline as UTF-8 text, creating the
+    parent directory if it is missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write `payload` as JSON with sorted keys and a two-space indent."""
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+
+
 def save_dataset(
     dataset: MultiViewDataset,
     out_dir: str | Path,
@@ -288,9 +302,7 @@ def save_dataset(
     labels_path = None
     if labels is not None:
         labels_path = "labels.txt"
-        (out / labels_path).write_text(
-            "\n".join(str(int(v)) for v in labels) + "\n", encoding="utf-8"
-        )
+        write_lines(out / labels_path, (int(v) for v in labels))
     manifest = DatasetManifest(
         name=dataset.name,
         views=specs,

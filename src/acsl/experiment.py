@@ -2,15 +2,14 @@
 select features, evaluate selections by clustering, and emit result files.
 
 Every emitted file is a deterministic function of (manifest bytes, config,
-seeds): JSON is written with sorted keys and no timestamps, numeric text
-uses a fixed 17-significant-digit float format.
+seeds), written in the one format of `data.write_json` and
+`data.write_lines`, with no timestamps.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 import itertools
-import json
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +20,12 @@ from .data import (
     MultiViewDataset,
     load_dataset,
     load_labels,
+    write_json,
+    write_lines,
 )
 from .errors import ConfigError, NumericError
 from .evaluation import EvalReport, score_clustering
-from .graph import build_view_affinity, connected_components
+from .graph import build_view_affinity
 from .selection import rank_features, select_top
 from .solver import Hyperparams, SolverState, fit
 
@@ -75,14 +76,14 @@ def emit_trace(state: SolverState, path: str | Path) -> None:
     rows = zip(state.objective_trace, state.components_trace, state.alpha_trace)
     for i, (obj, comps, alpha) in enumerate(rows):
         lines.append(f"{i},{FLOAT_FORMAT % obj},{comps},{FLOAT_FORMAT % alpha}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def build_graphs(dataset: MultiViewDataset, k_neighbors: int):
     graphs = []
     for i, view in enumerate(dataset.views):
         with _stage(f"building affinity graph for view {i}"):
-            graphs.append(build_view_affinity(view, k_neighbors, view_id=str(i)))
+            graphs.append(build_view_affinity(view, k_neighbors))
     return graphs
 
 
@@ -94,10 +95,14 @@ def _solver_diagnostics(state: SolverState) -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def fit_summary(state: SolverState) -> dict:
+    """How a fit ended, as fit.json and results.json both report it."""
+    return {
+        "converged": state.converged,
+        "iterations": state.iteration,
+        "final_objective": float(state.objective_trace[-1]),
+        "components_final": int(state.components_trace[-1]),
+    }
 
 
 def _load_problem(manifest: DatasetManifest, k_neighbors: int):
@@ -131,7 +136,6 @@ def _run_problem(problem, config: RunConfig) -> dict:
     """``run_experiment`` on a problem from ``_load_problem``."""
     dataset, labels, graphs = problem
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     x = dataset.stacked
 
     l_grid = config.l_grid if config.l_grid is not None else (dataset.d,)
@@ -143,15 +147,12 @@ def _run_problem(problem, config: RunConfig) -> dict:
     emit_trace(state, out / "trace.csv")
 
     ranking = rank_features(state.p, view_of=dataset.view_of)
-    comps = connected_components(state.s)
 
     selections = []
     for l in l_grid:
         indices = select_top(ranking, l)
-        (out / f"selected_l{l}.txt").write_text(
-            "\n".join(str(int(i)) for i in indices) + "\n", encoding="utf-8"
-        )
         entry = {"l": int(l), "indices": [int(i) for i in indices]}
+        write_lines(out / f"selected_l{l}.txt", entry["indices"])
         if labels is not None:
             with _stage(f"evaluating selection l={l}"):
                 accs, nmis = score_clustering(
@@ -184,14 +185,11 @@ def _run_problem(problem, config: RunConfig) -> dict:
             "kmeans_restarts": config.kmeans_restarts,
             "eval_seeds": list(config.eval_seeds),
         },
-        "converged": state.converged,
-        "iterations": state.iteration,
-        "final_objective": float(state.objective_trace[-1]),
-        "components_final": comps,
+        **fit_summary(state),
         "diagnostics": _solver_diagnostics(state),
         "selections": selections,
     }
-    _write_json(out / "results.json", payload)
+    write_json(out / "results.json", payload)
     return payload
 
 
@@ -252,7 +250,5 @@ def run_grid(
         "points": points,
         "best": best,
     }
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "grid_summary.json", summary)
+    write_json(Path(config.output_dir) / "grid_summary.json", summary)
     return summary

@@ -29,7 +29,6 @@ class AffinityGraph:
     """
 
     matrix: np.ndarray
-    view_id: str | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -67,9 +66,7 @@ class Laplacian:
             raise ValueError(f"Laplacian row sums must vanish, worst {worst:.3e}")
 
 
-def build_view_affinity(
-    x_v: np.ndarray, k_neighbors: int, view_id: str | None = None
-) -> AffinityGraph:
+def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     """Build a k-nearest-neighbor heat-kernel affinity graph for one view.
 
     Column j gets exactly `k_neighbors` nonzero entries: the k nearest
@@ -109,7 +106,7 @@ def build_view_affinity(
 
     matrix = np.zeros((n, n))
     matrix[neighbors, cols] = weights
-    return AffinityGraph(matrix=matrix, view_id=view_id)
+    return AffinityGraph(matrix=matrix)
 
 
 def laplacian_of(s: AffinityGraph) -> Laplacian:

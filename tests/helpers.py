@@ -34,10 +34,7 @@ def blob_problem(seed, n_per_cluster=15, k=3, n_views=2, d_v=12, noise=0.6,
         n_per_cluster, k, [(d_v, noise, informative_fraction)] * n_views, seed=seed
     )
     mats = [zscore_columns(v) for v in dataset.views]
-    graphs = [
-        build_view_affinity(m, min(k_neighbors, dataset.n - 1), view_id=str(i))
-        for i, m in enumerate(mats)
-    ]
+    graphs = [build_view_affinity(m, min(k_neighbors, dataset.n - 1)) for m in mats]
     x = np.hstack(mats)
     hp = Hyperparams(k=k, **hp_kwargs)
     return graphs, x, labels, hp

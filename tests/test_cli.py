@@ -227,3 +227,46 @@ def test_cli_determinism_across_processes(dataset_dir, tmp_path):
         outs.append(out)
     assert (outs[0] / "results.json").read_bytes() == (outs[1] / "results.json").read_bytes()
     assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
+
+
+FIT_FLAGS = ["--clusters", "3", "--k-neighbors", "8", "--max-outer-iters", "6"]
+
+
+def test_every_json_output_has_the_one_layout(dataset_dir, tmp_path):
+    manifest = str(dataset_dir / "manifest.json")
+    eval_flags = ["--l-grid", "6", "--eval-seeds", "0", "--kmeans-restarts", "2"]
+    assert main(["fit", manifest, *FIT_FLAGS, "--output-dir", str(tmp_path / "fit")]) in (0, 4)
+    assert main(["evaluate", manifest, *FIT_FLAGS, *eval_flags,
+                 "--output-dir", str(tmp_path / "eval")]) in (0, 4)
+    assert main(["grid", manifest, *FIT_FLAGS, *eval_flags, "--grid-values", "1",
+                 "--output-dir", str(tmp_path / "grid")]) == 0
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json"))
+    assert written == [
+        "data/informative_dims.json", "data/manifest.json", "eval/results.json",
+        "fit/fit.json", "grid/grid_a1_b1_g1/results.json", "grid/grid_summary.json",
+    ]
+    for name in written:
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
+def test_fit_json_is_the_fit_summary_of_results_json(dataset_dir, tmp_path):
+    manifest = str(dataset_dir / "manifest.json")
+    fit_code = main(["fit", manifest, *FIT_FLAGS, "--output-dir", str(tmp_path / "fit")])
+    eval_code = main(["evaluate", manifest, *FIT_FLAGS, "--l-grid", "6",
+                      "--eval-seeds", "0", "--kmeans-restarts", "2",
+                      "--output-dir", str(tmp_path / "eval")])
+    assert fit_code == eval_code
+    summary = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    results = json.loads((tmp_path / "eval" / "results.json").read_text())
+    assert sorted(summary) == ["components_final", "converged", "final_objective",
+                               "iterations"]
+    assert summary == {key: results[key] for key in summary}
+    last_row = (tmp_path / "fit" / "trace.csv").read_text().splitlines()[-1]
+    assert summary["components_final"] == int(last_row.split(",")[2])
+
+
+def test_manifest_json_holds_exactly_the_manifest_fields(dataset_dir):
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    assert sorted(manifest) == ["labels_path", "n", "name", "schema_version",
+                                "standardize", "views"]

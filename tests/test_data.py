@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,10 @@ def test_manifest_file_errors(tmp_path):
     empty.write_text("{}")
     with pytest.raises(ConfigError):
         DatasetManifest.from_file(empty)
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[]")
+    with pytest.raises(ConfigError):
+        DatasetManifest.from_file(not_an_object)
 
 
 def test_dataset_requires_consistent_rows():
@@ -185,3 +191,32 @@ def test_dataset_requires_consistent_rows():
         MultiViewDataset(views=[np.zeros((3, 2)), np.zeros((4, 2))])
     with pytest.raises(ConfigError):
         MultiViewDataset(views=[])
+
+
+def _manifest_file(tmp_path, **changes):
+    raw = toy_manifest(tmp_path).to_dict()
+    raw.update(changes)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_manifest_with_an_unknown_key_is_rejected(tmp_path):
+    # A misspelt field must not fall back to its default: with "standardise"
+    # ignored, the views would be z-scored against the file's intent.
+    with pytest.raises(ConfigError, match="unknown key.*standardise"):
+        DatasetManifest.from_file(_manifest_file(tmp_path, standardise=False))
+    with pytest.raises(ConfigError, match="base_dir"):
+        DatasetManifest.from_file(_manifest_file(tmp_path, base_dir="/elsewhere"))
+
+
+def test_manifest_schema_version_is_checked(tmp_path):
+    with pytest.raises(ConfigError, match="schema_version 7"):
+        DatasetManifest.from_file(_manifest_file(tmp_path, schema_version=7))
+    path = _manifest_file(tmp_path)
+    raw = json.loads(path.read_text())
+    del raw["schema_version"]  # as in the README example
+    path.write_text(json.dumps(raw))
+    manifest = DatasetManifest.from_file(path)
+    assert manifest.to_dict() == {**raw, "schema_version": 1}
+    assert manifest.base_dir == str(tmp_path)
