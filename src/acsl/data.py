@@ -133,7 +133,8 @@ class DatasetManifest:
     @classmethod
     def from_file(cls, path: str | Path) -> "DatasetManifest":
         """Read a manifest file. Unknown keys and a schema_version other than
-        MANIFEST_SCHEMA_VERSION are ConfigErrors; a missing one is accepted."""
+        the integer MANIFEST_SCHEMA_VERSION are ConfigErrors; a missing one
+        is accepted."""
         path = Path(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
@@ -147,7 +148,8 @@ class DatasetManifest:
         if unknown:
             raise ConfigError(f"manifest {path} has unknown key(s): {', '.join(unknown)}")
         version = raw.pop("schema_version", MANIFEST_SCHEMA_VERSION)
-        if version != MANIFEST_SCHEMA_VERSION:
+        # `==` alone would pass true and 1.0, which equal 1 in Python.
+        if type(version) is not int or version != MANIFEST_SCHEMA_VERSION:
             raise ConfigError(
                 f"manifest {path} has schema_version {version!r}; "
                 f"only {MANIFEST_SCHEMA_VERSION} is supported"
@@ -169,21 +171,49 @@ class DatasetManifest:
 
 
 def _parse_matrix(path: Path, delimiter: str, has_header: bool) -> np.ndarray:
-    """Parse a delimited numeric text matrix with precise error locations."""
+    """Parse a delimited numeric text matrix with precise error locations.
+
+    Each row is converted by one numpy call, which accepts exactly the cells
+    `float()` accepts and gives the same bits. A file that does not convert
+    that way into a finite, rectangular, nonempty matrix is parsed again by
+    `_parse_cells`, whose error names the row, the column and the cell.
+    """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise ConfigError(f"view file not found: {path}")
     start = 1 if has_header else 0
+    try:
+        rows = [
+            np.array(_cells(line, delimiter), dtype=float)
+            for line in lines[start:]
+            if line.strip()
+        ]
+    except ValueError:
+        rows = []
+    if rows and len({row.size for row in rows}) == 1:
+        matrix = np.array(rows)
+        if np.isfinite(matrix).all():
+            return matrix
+    return _parse_cells(path, lines, start, delimiter)
+
+
+def _cells(line: str, delimiter: str) -> list[str]:
+    """The cells of one line; a blank delimiter splits on any whitespace run."""
+    return line.split() if delimiter.strip() == "" else line.split(delimiter)
+
+
+def _parse_cells(path: Path, lines: list[str], start: int, delimiter: str) -> np.ndarray:
+    """Cell-by-cell parse of `lines[start:]`, raising a ConfigError at the
+    first cell or row that does not fit a finite numeric matrix."""
     rows: list[list[float]] = []
     width = None
     for r in range(start, len(lines)):
         line = lines[r]
         if not line.strip():
             continue
-        cells = line.split() if delimiter.strip() == "" else line.split(delimiter)
         values = []
-        for c, cell in enumerate(cells):
+        for c, cell in enumerate(_cells(line, delimiter)):
             try:
                 value = float(cell)
             except ValueError:
@@ -264,7 +294,13 @@ def load_labels(manifest: DatasetManifest) -> np.ndarray | None:
 
 
 def write_matrix(path: str | Path, a: np.ndarray, delimiter: str = ",") -> None:
-    np.savetxt(path, a, fmt=FLOAT_FORMAT, delimiter=delimiter)
+    """Write a 2-d matrix one row per line, cells in FLOAT_FORMAT joined by
+    `delimiter`: the bytes of `np.savetxt` with that format, formatted in
+    one operation instead of one per row."""
+    a = np.asarray(a, dtype=float)
+    row_fmt = delimiter.join([FLOAT_FORMAT] * a.shape[1]) + "\n"
+    Path(path).write_text((row_fmt * a.shape[0]) % tuple(a.ravel().tolist()),
+                          encoding="utf-8")
 
 
 def write_lines(path: str | Path, lines) -> None:

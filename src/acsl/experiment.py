@@ -193,10 +193,14 @@ def _run_problem(problem, config: RunConfig) -> dict:
     return payload
 
 
+def _grid_point_name(alpha: float, beta: float, gamma: float) -> str:
+    return f"grid_a{alpha:g}_b{beta:g}_g{gamma:g}"
+
+
 def _grid_point(args) -> dict:
     problem, config, alpha, beta, gamma = args
     hp = replace(config.hyperparams, alpha=alpha, beta=beta, gamma=gamma)
-    sub = Path(config.output_dir) / f"grid_a{alpha:g}_b{beta:g}_g{gamma:g}"
+    sub = Path(config.output_dir) / _grid_point_name(alpha, beta, gamma)
     point_config = replace(config, hyperparams=hp, output_dir=str(sub))
     payload = _run_problem(problem, point_config)
     best_acc = max(
@@ -223,16 +227,25 @@ def run_grid(
 
     The dataset is loaded and its view graphs built once for all points.
     Points run in a process pool when jobs > 1; each writes to its own
-    subdirectory. The summary reports every point and the best by mean
-    clustering accuracy (ties keep the earliest point in grid order).
+    subdirectory, named from the values to 6 significant digits; values
+    that would give two points one name are a ConfigError before any fit.
+    The summary reports every point and the best by mean clustering
+    accuracy (ties keep the earliest point in grid order).
     """
+    grid = list(itertools.product(values, values, values))
+    names = {}
+    for point in grid:
+        name = _grid_point_name(*point)
+        if name in names:
+            raise ConfigError(
+                f"grid points {names[name]} and {point} would share the output "
+                f"directory {name}; grid values must differ at 6 significant digits"
+            )
+        names[name] = point
     problem = _load_problem(manifest, config.k_neighbors)
     if problem[1] is None:
         raise ConfigError("grid mode needs labels to rank configurations by accuracy")
-    combos = [
-        (problem, config, a, b, g)
-        for a, b, g in itertools.product(values, values, values)
-    ]
+    combos = [(problem, config, *point) for point in grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_grid_point, combos))

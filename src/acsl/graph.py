@@ -74,6 +74,12 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     exp(-d^2 / (2 * sigma_j^2)) with the local scale sigma_j equal to the
     distance to j's k-th neighbor, then normalized to sum 1. Columns whose
     k nearest neighbors are all at distance 0 fall back to uniform weights.
+
+    Ties in distance go to the lower sample index: the neighbors are the
+    first k samples of a stable sort of column j's squared distances.
+    Selection costs O(n^2) after the O(n^2 d) distances: a partial
+    selection picks each column's k nearest, and only columns with a tie
+    at the k-th distance, where that pick is ambiguous, are fully sorted.
     """
     x = np.asarray(x_v, dtype=float)
     if x.ndim != 2:
@@ -92,9 +98,17 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
     np.fill_diagonal(d2, np.inf)
 
-    # Stable sort keeps tie-breaking deterministic by sample index.
-    order = np.argsort(d2, axis=0, kind="stable")
-    neighbors = order[:k_neighbors, :]
+    k = k_neighbors
+    neighbors = np.argpartition(d2, k - 1, axis=0)[:k]
+    ndist = np.take_along_axis(d2, neighbors, axis=0)
+    # Row k-1 holds each column's k-th smallest distance. Where more than k
+    # samples lie within it (a tie at the k-th distance) or it is not
+    # finite, the pick may differ from the stable sort's; sort those columns.
+    tied = np.flatnonzero((d2 <= ndist[-1]).sum(axis=0) != k)
+    order = np.lexsort((neighbors, ndist), axis=0)  # by distance, then index
+    neighbors = np.take_along_axis(neighbors, order, axis=0)
+    if tied.size:
+        neighbors[:, tied] = np.argsort(d2[:, tied], axis=0, kind="stable")[:k]
     cols = np.arange(n)[None, :]
     ndist = d2[neighbors, cols]
     scale = ndist[-1, :]  # squared distance to the k-th neighbor

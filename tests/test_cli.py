@@ -78,6 +78,16 @@ def test_trace_verb_writes_csv(dataset_dir, tmp_path):
     assert len(lines) >= 2
 
 
+def test_grid_values_that_share_a_directory_exit_2(dataset_dir, tmp_path, capsys):
+    code = main([
+        "grid", str(dataset_dir / "manifest.json"), "--clusters", "3",
+        "--grid-values", "1,1.0000001", "--output-dir", str(tmp_path / "grid"),
+    ])
+    assert code == 2
+    assert "would share the output directory" in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
+
+
 def test_grid_verb_runs_small_sweep(dataset_dir, tmp_path):
     out = tmp_path / "grid"
     code = main([

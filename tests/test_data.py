@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 
+import acsl.data
 from acsl.data import (
+    FLOAT_FORMAT,
     DatasetManifest,
     MultiViewDataset,
     ViewSpec,
     load_dataset,
     load_labels,
     save_dataset,
+    write_matrix,
     zscore_columns,
 )
 from acsl.errors import ConfigError
@@ -123,6 +126,83 @@ def test_header_rows_are_skipped(tmp_path):
     assert np.array_equal(load_dataset(manifest).views[0], [[1, 2], [3, 4]])
 
 
+def _load_raw(tmp_path, text, delimiter=",", has_header=False):
+    (tmp_path / "a.txt").write_text(text, encoding="utf-8")
+    manifest = DatasetManifest(
+        name="raw",
+        views=[ViewSpec(path="a.txt", delimiter=delimiter, has_header=has_header)],
+        standardize=False,
+        base_dir=str(tmp_path),
+    )
+    return load_dataset(manifest).views[0]
+
+
+def _float_per_cell(text, delimiter=",", has_header=False):
+    """The reference parse: one float() per cell."""
+    lines = text.splitlines()[1 if has_header else 0:]
+    split = str.split if delimiter.strip() == "" else (lambda ln: ln.split(delimiter))
+    return np.array([[float(c) for c in split(ln)] for ln in lines if ln.strip()])
+
+
+PARSE_CASES = [
+    (" 1.5 ,+1,-0\n1_000,4.9e-324,0.30000000000000004\n", ",", False),
+    ("2.2250738585072014e-308,-1.7976931348623157e+308,\u0661\u0662\n"
+     "\t3 ,1E5,-.5\n", ",", False),
+    ("  1   2\t-0\n\n 0.10000000000000001 1e-5  7 \n", " ", False),
+    ("x;y;z\n1;2;3\n\n4;5;6\n", ";", True),
+]
+
+
+@pytest.mark.parametrize("text, delimiter, has_header", PARSE_CASES)
+def test_parse_is_bitwise_float_per_cell(tmp_path, text, delimiter, has_header):
+    got = _load_raw(tmp_path, text, delimiter, has_header)
+    want = _float_per_cell(text, delimiter, has_header)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_written_matrix_reloads_bitwise(tmp_path):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(40, 7)) * 10.0 ** rng.integers(-300, 300, size=(40, 7))
+    a[0, :3] = [-0.0, 5e-324, 1.7976931348623157e308]
+    write_matrix(tmp_path / "a.txt", a)
+    assert _load_raw(tmp_path, (tmp_path / "a.txt").read_text()).tobytes() == a.tobytes()
+
+
+def test_successful_parse_makes_no_per_cell_pass(tmp_path, monkeypatch):
+    def per_cell(*args):
+        raise AssertionError("per-cell parse ran on a valid file")
+
+    monkeypatch.setattr(acsl.data, "_parse_cells", per_cell)
+    text, delimiter, has_header = PARSE_CASES[0]
+    assert _load_raw(tmp_path, text, delimiter, has_header).shape == (2, 3)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3\n", "row 2 has 1 columns, expected 2"),
+    ("1,2\n\n3,4,5\n", "row 3 has 3 columns, expected 2"),
+    ("1,2,\n3,4,\n", "non-numeric value '' at row 1, column 3"),
+    ("x,y\n1,2\n", "non-numeric value 'x' at row 1, column 1"),
+    ("1,2\n3, oops \n", "non-numeric value 'oops' at row 2, column 2"),
+    ("1,nan\n3,4\n", "non-finite value 'nan' at row 1, column 2"),
+    ("1,2\n1e400,4\n", "non-finite value '1e400' at row 2, column 1"),
+    ("\n  \n", "no data rows"),
+])
+def test_parse_errors_name_the_cell(tmp_path, text, message):
+    with pytest.raises(ConfigError) as exc:
+        _load_raw(tmp_path, text)
+    assert str(exc.value) == f"{tmp_path / 'a.txt'}: {message}"
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t", " "])
+def test_write_matrix_bytes_match_savetxt(tmp_path, delimiter):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(30, 4)) * 10.0 ** rng.integers(-20, 20, size=(30, 4))
+    a[0] = [-0.0, 5e-324, 1e308, 3.0]
+    write_matrix(tmp_path / "ours.txt", a, delimiter=delimiter)
+    np.savetxt(tmp_path / "ref.txt", a, fmt=FLOAT_FORMAT, delimiter=delimiter)
+    assert (tmp_path / "ours.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
 def test_labels_roundtrip(tmp_path):
     manifest = toy_manifest(tmp_path)
     assert load_labels(manifest) is None
@@ -220,3 +300,10 @@ def test_manifest_schema_version_is_checked(tmp_path):
     manifest = DatasetManifest.from_file(path)
     assert manifest.to_dict() == {**raw, "schema_version": 1}
     assert manifest.base_dir == str(tmp_path)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_manifest_schema_version_must_be_the_integer_one(tmp_path, version):
+    # Each of these equals 1 or looks like it; only the JSON integer 1 passes.
+    with pytest.raises(ConfigError, match=f"schema_version {version!r}"):
+        DatasetManifest.from_file(_manifest_file(tmp_path, schema_version=version))

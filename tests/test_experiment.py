@@ -184,6 +184,20 @@ def test_grid_requires_labels(synthetic_manifest, tmp_path):
         run_grid(unlabeled, quick_config(tmp_path / "grid"), values=(1.0,))
 
 
+@pytest.mark.parametrize("values", [(1.0, 1.0000001), (0.5, 2.0, 0.5)])
+def test_grid_points_sharing_a_directory_are_rejected(synthetic_manifest, tmp_path,
+                                                      monkeypatch, values):
+    import acsl.experiment as experiment
+
+    def no_fit(args):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(experiment, "_grid_point", no_fit)
+    with pytest.raises(ConfigError, match="would share the output directory grid_a"):
+        run_grid(synthetic_manifest, quick_config(tmp_path / "grid"), values=values)
+    assert not (tmp_path / "grid").exists()
+
+
 def test_grid_parallel_matches_serial(synthetic_manifest, tmp_path):
     config_s = quick_config(
         tmp_path / "gs", hyperparams=Hyperparams(k=3, max_outer_iters=4),

@@ -82,6 +82,50 @@ def test_affinity_permutation_consistency():
     assert np.allclose(gp, g[np.ix_(perm, perm)], atol=1e-12)
 
 
+def _stable_sort_affinity(x, k):
+    """The kNN graph with neighbors taken from a full stable argsort of each
+    column's squared distances: the reference for the tie rule."""
+    n = x.shape[0]
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    np.fill_diagonal(d2, np.inf)
+    neighbors = np.argsort(d2, axis=0, kind="stable")[:k]
+    cols = np.arange(n)[None, :]
+    ndist = d2[neighbors, cols]
+    scale = ndist[-1]
+    weights = np.ones_like(ndist)
+    live = scale > 0
+    weights[:, live] = np.exp(-ndist[:, live] / (2.0 * scale[live]))
+    weights /= weights.sum(axis=0)
+    matrix = np.zeros((n, n))
+    matrix[neighbors, cols] = weights
+    return matrix
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_affinity_is_bitwise_the_stable_sort_knn(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    d = int(rng.integers(1, 4))
+    kind = seed % 3
+    if kind == 0:
+        x = rng.normal(size=(n, d))
+    elif kind == 1:  # integer grid: many equal distances
+        x = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:  # every point repeated: distance-0 ties and uniform columns
+        x = np.repeat(rng.integers(0, 2, size=(n, d)).astype(float), 3, axis=0)
+    n = x.shape[0]
+    for k in sorted({1, n - 1, max(1, n // 2), min(n - 1, 10)}):
+        got = build_view_affinity(x, k).matrix
+        assert got.tobytes() == _stable_sort_affinity(x, k).tobytes(), (n, k)
+
+
+def test_affinity_ties_go_to_the_lower_index():
+    # Samples 1, 2 and 3 are all at distance 1 from sample 0.
+    x = np.array([[0.0], [1.0], [-1.0], [1.0], [5.0]])
+    assert np.flatnonzero(build_view_affinity(x, 2).matrix[:, 0]).tolist() == [1, 2]
+
+
 def test_affinity_rejects_bad_neighbor_counts():
     x = np.zeros((4, 2))
     with pytest.raises(ConfigError):
