@@ -123,9 +123,10 @@ def _add_eval_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _fit_state(args):
+    hp = _hyperparams(args)
     manifest = DatasetManifest.from_file(args.manifest)
     dataset, _, graphs = _load_problem(manifest, args.k_neighbors)
-    return dataset, _staged_fit(graphs, dataset.stacked, _hyperparams(args))
+    return dataset, _staged_fit(graphs, dataset.stacked, hp)
 
 
 def cmd_generate(args) -> int:

@@ -55,6 +55,8 @@ class RunConfig:
             )
         if not self.eval_seeds:
             raise ConfigError("at least one evaluation seed is required")
+        if any(seed < 0 for seed in self.eval_seeds):
+            raise ConfigError(f"eval_seeds must be non-negative, got {self.eval_seeds}")
         if self.l_grid is not None and any(l < 1 for l in self.l_grid):
             raise ConfigError(f"l_grid entries must be positive, got {self.l_grid}")
 
@@ -198,22 +200,20 @@ def _grid_point_name(alpha: float, beta: float, gamma: float) -> str:
 
 
 def _grid_point(args) -> dict:
-    problem, config, alpha, beta, gamma = args
-    hp = replace(config.hyperparams, alpha=alpha, beta=beta, gamma=gamma)
-    sub = Path(config.output_dir) / _grid_point_name(alpha, beta, gamma)
-    point_config = replace(config, hyperparams=hp, output_dir=str(sub))
-    payload = _run_problem(problem, point_config)
+    problem, config = args
+    payload = _run_problem(problem, config)
     best_acc = max(
         (s["acc_mean"] for s in payload["selections"] if s["acc_mean"] is not None),
         default=None,
     )
+    hp = config.hyperparams
     return {
-        "alpha": alpha,
-        "beta": beta,
-        "gamma": gamma,
+        "alpha": hp.alpha,
+        "beta": hp.beta,
+        "gamma": hp.gamma,
         "best_acc_mean": best_acc,
         "converged": payload["converged"],
-        "output_dir": sub.name,
+        "output_dir": Path(config.output_dir).name,
     }
 
 
@@ -225,16 +225,17 @@ def run_grid(
 ) -> dict:
     """Sweep alpha, beta, gamma over `values`, one experiment per point.
 
-    The dataset is loaded and its view graphs built once for all points.
-    Points run in a process pool when jobs > 1; each writes to its own
-    subdirectory, named from the values to 6 significant digits; values
-    that would give two points one name are a ConfigError before any fit.
-    The summary reports every point and the best by mean clustering
-    accuracy (ties keep the earliest point in grid order).
+    Each point writes to its own subdirectory, named from the values to 6
+    significant digits. Points that would share a name, or whose
+    hyperparameters are invalid, are a ConfigError before the data is
+    loaded. The dataset is then loaded and its view graphs built once for
+    all points, which run in a process pool when jobs > 1. The summary
+    reports every point and the best by mean clustering accuracy (ties
+    keep the earliest point in grid order).
     """
-    grid = list(itertools.product(values, values, values))
     names = {}
-    for point in grid:
+    configs = []
+    for point in itertools.product(values, values, values):
         name = _grid_point_name(*point)
         if name in names:
             raise ConfigError(
@@ -242,10 +243,15 @@ def run_grid(
                 f"directory {name}; grid values must differ at 6 significant digits"
             )
         names[name] = point
+        alpha, beta, gamma = point
+        with _stage(f"grid point {name}"):
+            hp = replace(config.hyperparams, alpha=alpha, beta=beta, gamma=gamma)
+        configs.append(replace(config, hyperparams=hp,
+                               output_dir=str(Path(config.output_dir) / name)))
     problem = _load_problem(manifest, config.k_neighbors)
     if problem[1] is None:
         raise ConfigError("grid mode needs labels to rank configurations by accuracy")
-    combos = [(problem, config, *point) for point in grid]
+    combos = [(problem, c) for c in configs]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_grid_point, combos))

@@ -12,14 +12,15 @@ reweighted quadratic. All updates work on the one objective that
 
 through its epsilon-smoothed form J_eps, which replaces ||p_i|| by
 sqrt(||p_i||^2 + epsilon). One outer iteration reweights once at the
-current p, then updates (f, p) jointly, then s, then w. The reweighting
-with the (f, p) update is one majorize-minimize (MM) step: it minimizes an
-upper bound of J_eps that touches J_eps at the current point. The s and w
-updates are exact minimizers of their blocks of J_eps. So with alpha fixed
-the outer loop never increases J_eps (see ``fit``). The raw objective differs
-from J_eps by beta * gamma * sum_i (sqrt(||p_i||^2 + epsilon) - ||p_i||),
-which lies in [0, beta * gamma * d * sqrt(epsilon)]; so the recorded raw
-trace can rise by at most that gap.
+current p and solves for p (``update_p``), then updates (f, p) jointly,
+then s, then w. The reweighting with the (f, p) update is one
+majorize-minimize (MM) step: it minimizes an upper bound of J_eps that
+touches J_eps at the current point. The s and w updates are exact
+minimizers of their blocks of J_eps. So with alpha fixed the outer loop
+never increases J_eps (see ``fit``). The raw objective differs from J_eps
+by beta * gamma * sum_i (sqrt(||p_i||^2 + epsilon) - ||p_i||), which lies
+in [0, beta * gamma * d * sqrt(epsilon)]; so the recorded raw trace can
+rise by at most that gap.
 
 Every solve with Q = X^T X + gamma G, G = diag(gamma_diag), factors a
 matrix of size min(n, d), by the input's shape alone (``_uses_dual_form``):
@@ -36,16 +37,13 @@ X^T X or K.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+import math
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 from .graph import AffinityGraph, connected_components, laplacian_of
 from .numerics import project_simplex_columns, smallest_k_eigen, solve_spd
-
-# Relative change of the inner reweighted-regression objective below which
-# the inner loop stops.
-INNER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,9 +55,8 @@ class Hyperparams:
     epsilon the smoothing constant keeping the reweighting finite on zero
     rows. With adaptive_alpha on, the fit loop doubles alpha while the
     learned structure has fewer than k components and halves it while it
-    has more. max_inner_iters bounds only the standalone reweighted
-    regression (``update_p``, ``_irls_loop``); ``fit`` reweights once per
-    outer iteration, whatever its value.
+    has more. The l2,1 reweighting needs no knob: ``fit`` makes one MM
+    step on P per outer iteration (``update_p``).
     """
 
     k: int
@@ -68,7 +65,6 @@ class Hyperparams:
     gamma: float = 1.0
     epsilon: float = 1e-8
     max_outer_iters: int = 100
-    max_inner_iters: int = 30
     tol_rel_objective: float = 1e-6
     adaptive_alpha: bool = False
 
@@ -76,11 +72,11 @@ class Hyperparams:
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
         for name in ("alpha", "beta", "gamma", "epsilon", "tol_rel_objective"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("max_outer_iters", "max_inner_iters"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.max_outer_iters < 1:
+            raise ConfigError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
 
 
 @dataclass
@@ -172,42 +168,29 @@ def _reweighting_of(p: np.ndarray, epsilon: float) -> np.ndarray:
     return 1.0 / (2.0 * _smoothed_row_norms(p, epsilon))
 
 
-def _smoothed_regression_objective(
-    x: np.ndarray, p: np.ndarray, f: np.ndarray, gamma: float, epsilon: float
-) -> float:
-    """||X P - F||^2 + gamma * sum_i sqrt(||p_i||^2 + epsilon)."""
-    resid = x @ p - f
-    return float(np.sum(resid * resid) + gamma * _smoothed_row_norms(p, epsilon).sum())
-
-
 def _solve_projection(
-    x: np.ndarray,
-    f: np.ndarray,
-    gamma: float,
-    gamma_diag: np.ndarray,
-    normal: tuple[np.ndarray, np.ndarray] | None = None,
+    x: np.ndarray, f: np.ndarray, gamma: float, gamma_diag: np.ndarray
 ) -> np.ndarray:
     """P = Q^{-1} X^T F with Q = X^T X + gamma * diag(gamma_diag): the
     minimizer over P of ||X P - F||^2 + gamma * Tr(P^T G P).
 
-    Factors min(n, d) (module docstring): Q when d <= n, where ``normal``
-    may carry a precomputed (X^T X, X^T F); otherwise K, with
+    Factors min(n, d) (module docstring): Q when d <= n; otherwise K, with
     P = D X^T K^{-1} F = sqrt(D) Y^T K^{-1} F.
     """
     if _uses_dual_form(x):
         k, root, y = _dual_gram(x, gamma, gamma_diag)
         return root[:, None] * (y.T @ solve_spd(k, f))
-    gram, xtf = (x.T @ x, x.T @ f) if normal is None else normal
-    return solve_spd(_regularized_gram(gram, gamma, gamma_diag), xtf)
+    return solve_spd(_regularized_gram(x.T @ x, gamma, gamma_diag), x.T @ f)
 
 
-def _irls_loop(
-    x: np.ndarray, f: np.ndarray, p0: np.ndarray, hp: Hyperparams
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Alternate the closed-form solve and the reweighting until the
-    smoothed regression objective stalls.
+def update_p(
+    state: SolverState, x: np.ndarray, hp: Hyperparams
+) -> tuple[np.ndarray, np.ndarray]:
+    """One majorize-minimize (MM) step of the row-sparse regression of the
+    indicator on the stacked features: reweight at the current P, then
+    solve the reweighted quadratic exactly.
 
-    The loop decreases h(P) = ||X P - F||^2 + gamma * sum_i
+    The step decreases h(P) = ||X P - F||^2 + gamma * sum_i
     sqrt(||p_i||^2 + epsilon). Since sqrt is concave, at an anchor A
 
         sqrt(||p_i||^2 + eps) <= sqrt(||a_i||^2 + eps)
@@ -215,49 +198,18 @@ def _irls_loop(
         g_i = 1 / (2 sqrt(||a_i||^2 + eps)),
 
     with equality at P = A. So h(P) <= ||X P - F||^2 + gamma Tr(P^T G P)
-    + const(A), tight at A, and each step (reweight at the current P, then
-    solve that quadratic exactly) is an MM step: h never increases. The
-    history and the stop rule therefore track h, not the raw row-norm sum,
-    which can rise by up to gamma * d * sqrt(epsilon) per step.
+    + const(A), tight at A, and the step, anchored at A = state.p, never
+    increases h; repeated steps are the reweighting scheme of Nie et al.
+    (NeurIPS 2010). h, not the raw row-norm sum, is what descends: the raw
+    sum can rise by up to gamma * d * sqrt(epsilon) per step.
 
-    Each step is one ``_solve_projection``: one factorization of size
-    min(n, d), of Q when d <= n and of K = I + X D X^T when d > n, for
-    O(min(n, d)^3 + n d min(n, d)) per step (X^T X and X^T F are formed
-    once).
-
-    Returns the final projection, the diagonal weights used for its solve
-    (so the pair is exactly stationary for the weighted quadratic), and h
-    before the first and after every solve.
+    Returns (new p, new gamma_diag): the solve's one factorization of size
+    min(n, d) (``_solve_projection``) and the reweighting it used, so
+    2 X^T (X p - f) + 2 gamma G p = 0 holds at the returned pair up to
+    solver round-off.
     """
-    normal = None if _uses_dual_form(x) else (x.T @ x, x.T @ f)
-    p = p0
-    prev = _smoothed_regression_objective(x, p, f, hp.gamma, hp.epsilon)
-    history = [prev]
-    for _ in range(hp.max_inner_iters):
-        # Reweight at the previous iterate, then solve: however the loop
-        # exits, `weights` is the reweighting the returned `p` was solved
-        # with, so the pair is exactly stationary for its quadratic.
-        weights = _reweighting_of(p, hp.epsilon)
-        p = _solve_projection(x, f, hp.gamma, weights, normal)
-        cur = _smoothed_regression_objective(x, p, f, hp.gamma, hp.epsilon)
-        history.append(cur)
-        if abs(prev - cur) <= INNER_TOL * max(abs(prev), 1e-30):
-            break
-        prev = cur
-    return p, weights, history
-
-
-def update_p(
-    state: SolverState, x: np.ndarray, hp: Hyperparams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-sparse regression of the indicator on the stacked features.
-
-    Returns (new p, new gamma_diag). gamma_diag is the reweighting used in
-    the final closed-form solve, so 2 X^T (X p - f) + 2 gamma G p = 0 holds
-    at the returned pair up to solver round-off.
-    """
-    p, weights, _ = _irls_loop(x, state.f, state.p, hp)
-    return p, weights
+    weights = _reweighting_of(state.p, hp.epsilon)
+    return _solve_projection(x, state.f, hp.gamma, weights), weights
 
 
 def _embedding_operator(
@@ -429,9 +381,9 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
     One outer iteration with alpha fixed never increases the smoothed
     objective J_eps (module docstring). It makes one MM step on P: let P_0
     be the projection at its start, and U(P, F) the reweighted bound of
-    J_eps anchored at P_0 (``_irls_loop``), which equals J_eps at P = P_0
-    and lies above it elsewhere. ``update_p`` with one inner step returns
-    the reweighting at P_0 and the P_1 that minimizes U(., F_0); then
+    J_eps anchored at P_0 (``update_p``), which equals J_eps at P = P_0
+    and lies above it elsewhere. ``update_p`` returns the reweighting at
+    P_0 and the P_1 that minimizes U(., F_0); then
 
         J_eps(P_0, F_0) = U(P_0, F_0)
                        >= U(P_1, F_0)              P_1 minimizes U(., F_0)
@@ -441,9 +393,9 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
                        >= J_eps after update_w     exact column minimizers
 
     where (F_new, P_new = Q^{-1} X^T F_new) is the pair ``update_f``
-    returns for the reweighting at P_0. More inner steps would move the
-    anchor and also descend, at one solve each, but ``update_f`` replaces
-    P_1 anyway: one step keeps the chain at the least cost.
+    returns for the reweighting at P_0. More ``update_p`` steps would move
+    the anchor and also descend, at one solve each, but ``update_f``
+    replaces P_1 anyway: one step keeps the chain at the least cost.
 
     With adaptive alpha enabled, alpha doubles while the structure has
     fewer than k components and halves while it has more; iterations that
@@ -455,8 +407,7 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
     current = hp
     for it in range(1, hp.max_outer_iters + 1):
         try:
-            state.p, state.gamma_diag = update_p(
-                state, x, replace(current, max_inner_iters=1))
+            state.p, state.gamma_diag = update_p(state, x, current)
             state.f, state.p = update_f(state, x, current)
             state.s = update_s(state, views, current)
             state.w = update_w(state, views)

@@ -4,7 +4,7 @@ import numpy as np
 
 from acsl.data import zscore_columns
 from acsl.graph import AffinityGraph, build_view_affinity
-from acsl.solver import Hyperparams, initialize
+from acsl.solver import Hyperparams, initialize, update_p
 from acsl.synthetic import generate_synthetic
 
 
@@ -44,3 +44,22 @@ def random_state(seed, **kwargs):
     """Initialized solver state on a random blob problem."""
     graphs, x, labels, hp = blob_problem(seed, **kwargs)
     return initialize(graphs, x, hp), graphs, x, hp
+
+
+def smoothed_regression_objective(x, p, f, hp):
+    """h(P) = ||X P - F||^2 + gamma * sum_i sqrt(||p_i||^2 + epsilon), the
+    objective each ``update_p`` step decreases."""
+    resid = x @ p - f
+    return float(np.sum(resid * resid)
+                 + hp.gamma * np.sqrt(np.sum(p * p, axis=1) + hp.epsilon).sum())
+
+
+def mm_steps(state, x, hp, steps=30):
+    """Take `steps` ``update_p`` steps from state, updating state.p and
+    state.gamma_diag in place. Returns h before the first step and after
+    each one."""
+    history = [smoothed_regression_objective(x, state.p, state.f, hp)]
+    for _ in range(steps):
+        state.p, state.gamma_diag = update_p(state, x, hp)
+        history.append(smoothed_regression_objective(x, state.p, state.f, hp))
+    return history

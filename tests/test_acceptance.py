@@ -22,7 +22,6 @@ from acsl.solver import (
     Hyperparams,
     SolverState,
     _embedding_operator,
-    _irls_loop,
     fit,
     initialize,
     objective,
@@ -34,7 +33,7 @@ from acsl.solver import (
 from acsl.synthetic import generate_synthetic
 from acsl.data import zscore_columns
 
-from helpers import blob_problem, random_affinity, random_state
+from helpers import blob_problem, mm_steps, random_affinity, random_state
 
 DESCENT_SLACK = 1e-9
 
@@ -273,7 +272,7 @@ def test_criterion_5b_inner_objective_non_increasing():
             gamma=[0.1, 1.0, 10.0][seed % 3],
         )
         for it in range(6):
-            state.p, state.gamma_diag, history = _irls_loop(x, state.f, state.p, hp)
+            history = mm_steps(state, x, hp)
             for step, (before, after) in enumerate(zip(history, history[1:])):
                 increase = after - before
                 if increase > worst:

@@ -119,6 +119,39 @@ def test_invalid_hyperparameter_exits_2(dataset_dir, tmp_path):
     assert code == 2
 
 
+def test_non_finite_hyperparameter_exits_2_before_loading(dataset_dir, tmp_path,
+                                                          monkeypatch, capsys):
+    def no_load(*args):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr("acsl.cli._load_problem", no_load)
+    code = main(["fit", str(dataset_dir / "manifest.json"), "--clusters", "3",
+                 "--alpha", "nan", "--output-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "alpha must be positive and finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_invalid_grid_point_exits_2_before_any_fit(dataset_dir, tmp_path, capsys):
+    code = main([
+        "grid", str(dataset_dir / "manifest.json"), "--clusters", "3",
+        "--grid-values", "1,-1", "--output-dir", str(tmp_path / "grid"),
+    ])
+    assert code == 2
+    assert "grid point grid_a1_b1_g-1: gamma must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
+
+
+def test_negative_eval_seed_exits_2_before_any_fit(dataset_dir, tmp_path, capsys):
+    code = main([
+        "evaluate", str(dataset_dir / "manifest.json"), "--clusters", "3",
+        "--eval-seeds=-1", "--output-dir", str(tmp_path / "eval"),
+    ])
+    assert code == 2
+    assert "eval_seeds must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_k_neighbors_too_large_exits_2(dataset_dir, tmp_path):
     code = main([
         "fit", str(dataset_dir / "manifest.json"),

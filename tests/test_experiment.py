@@ -198,6 +198,24 @@ def test_grid_points_sharing_a_directory_are_rejected(synthetic_manifest, tmp_pa
     assert not (tmp_path / "grid").exists()
 
 
+def test_grid_rejects_an_invalid_point_before_loading(synthetic_manifest, tmp_path,
+                                                     monkeypatch):
+    import acsl.experiment as experiment
+
+    def no_load(*args):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr(experiment, "_load_problem", no_load)
+    with pytest.raises(ConfigError, match="grid point grid_a1_b1_g-1: gamma must be"):
+        run_grid(synthetic_manifest, quick_config(tmp_path / "grid"), values=(1.0, -1.0))
+    assert not (tmp_path / "grid").exists()
+
+
+def test_run_config_rejects_negative_eval_seeds(tmp_path):
+    with pytest.raises(ConfigError, match="eval_seeds must be non-negative"):
+        quick_config(tmp_path, eval_seeds=(0, -1))
+
+
 def test_grid_parallel_matches_serial(synthetic_manifest, tmp_path):
     config_s = quick_config(
         tmp_path / "gs", hyperparams=Hyperparams(k=3, max_outer_iters=4),

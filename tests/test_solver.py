@@ -12,7 +12,7 @@ from acsl.solver import (
     SolverState,
     _embedding_operator,
     _indicator_sq_distances,
-    _irls_loop,
+    _reweighting_of,
     _solve_projection,
     _uses_dual_form,
     fit,
@@ -24,7 +24,7 @@ from acsl.solver import (
     update_w,
 )
 
-from helpers import blob_problem, random_affinity, random_orthonormal, random_state
+from helpers import blob_problem, mm_steps, random_affinity, random_orthonormal, random_state
 
 TINY_ALPHA = 1e-15
 # Blob problem with n=12 samples and d=40 stacked dims: solves with Q take
@@ -46,6 +46,13 @@ def test_hyperparams_validation():
         Hyperparams(k=3, alpha=0.0)
     with pytest.raises(ConfigError):
         Hyperparams(k=3, max_outer_iters=0)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "epsilon", "tol_rel_objective"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_hyperparams_reject_non_finite_weights(name, value):
+    with pytest.raises(ConfigError, match=name):
+        Hyperparams(k=3, **{name: value})
 
 
 # -------------------------------------------------------------- initialize
@@ -147,12 +154,12 @@ def test_update_p_matches_subgradient_descent_oracle():
     x = rng.normal(size=(8, 5))
     f = random_orthonormal(rng, 8, 2)
     gamma = 0.7
-    hp = Hyperparams(k=2, gamma=gamma, max_inner_iters=200)
+    hp = Hyperparams(k=2, gamma=gamma)
     state = SolverState(p=np.zeros((5, 2)), f=f,
                         s=random_affinity(rng, 8), w=np.ones((1, 8)),
                         gamma_diag=np.ones(5))
-    p, _ = update_p(state, x, hp)
-    ours = regression_objective(x, p, f, gamma)
+    mm_steps(state, x, hp, steps=200)
+    ours = regression_objective(x, state.p, f, gamma)
 
     q = np.zeros((5, 2))
     best = regression_objective(x, q, f, gamma)
@@ -173,7 +180,7 @@ def test_irls_inner_history_is_monotone_up_to_smoothing_gap():
     for seed in range(5):
         state, graphs, x, hp = random_state(seed, gamma=2.0)
         for _ in range(4):
-            state.p, state.gamma_diag, history = _irls_loop(x, state.f, state.p, hp)
+            history = mm_steps(state, x, hp)
             gap = hp.gamma * x.shape[1] * np.sqrt(hp.epsilon)
             for before, after in zip(history, history[1:]):
                 assert after <= before + gap
@@ -323,7 +330,7 @@ def test_initialize_factors_once(monkeypatch):
 
 def test_fit_factors_twice_per_outer_iteration(monkeypatch):
     # One solve in initialize, then per outer iteration one reweighted
-    # solve in update_p and one in update_f, whatever max_inner_iters is.
+    # solve in update_p and one in update_f.
     calls = []
 
     def counted(a, b):
@@ -368,20 +375,31 @@ def test_irls_history_never_rises_in_dual_form():
         state, graphs, x, hp = random_state(seed, gamma=2.0, **WIDE)
         assert _uses_dual_form(x)
         for _ in range(4):
-            state.p, state.gamma_diag, history = _irls_loop(x, state.f, state.p, hp)
+            history = mm_steps(state, x, hp)
             assert np.diff(history).max() <= 1e-9
             state.f, state.p = update_f(state, x, hp)
 
 
 def test_irls_loop_in_dual_form_follows_the_explicit_primal_iterates():
     state, graphs, x, hp = random_state(54, gamma=1.0, **WIDE)
-    p, weights, history = _irls_loop(x, state.f, state.p, hp)
     ref = state.p
+    history = mm_steps(state, x, hp)
     for _ in range(len(history) - 1):
         ref_weights = 1.0 / (2.0 * np.sqrt(np.sum(ref * ref, axis=1) + hp.epsilon))
         ref = np.linalg.solve(explicit_q(x, hp, ref_weights), x.T @ state.f)
-    assert np.linalg.norm(weights - ref_weights) <= 1e-8 * np.linalg.norm(ref_weights)
-    assert np.linalg.norm(p - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert np.linalg.norm(state.gamma_diag - ref_weights) <= 1e-8 * np.linalg.norm(ref_weights)
+    assert np.linalg.norm(state.p - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_update_p_is_one_reweight_and_one_solve(n, d):
+    # fit's descent chain needs exactly this step: the reweighting at the
+    # input P, and the minimizer of the quadratic it anchors.
+    state, x, hp = dense_state(58, n, d)
+    p, weights = update_p(state, x, hp)
+    expected_weights = _reweighting_of(state.p, hp.epsilon)
+    assert np.array_equal(weights, expected_weights)
+    assert np.array_equal(p, _solve_projection(x, state.f, hp.gamma, expected_weights))
 
 
 # ---------------------------------------------------------------- update_s
