@@ -6,9 +6,9 @@ feature dimensions by projection-row norms.
 
 from .data import DatasetManifest, MultiViewDataset, load_dataset, load_labels, save_dataset
 from .errors import AcslError, ConfigError, NumericError
-from .evaluation import EvalReport, clustering_accuracy, kmeans, nmi
+from .evaluation import clustering_accuracy, kmeans, nmi
 from .experiment import RunConfig, emit_trace, run_experiment, run_grid
-from .graph import AffinityGraph, Laplacian, build_view_affinity, connected_components, laplacian_of
+from .graph import AffinityGraph, build_view_affinity, connected_components, laplacian_of
 from .selection import FeatureRanking, rank_features, select_top
 from .solver import Hyperparams, SolverState, fit, initialize, objective
 from .synthetic import generate_synthetic
@@ -20,10 +20,8 @@ __all__ = [
     "AffinityGraph",
     "ConfigError",
     "DatasetManifest",
-    "EvalReport",
     "FeatureRanking",
     "Hyperparams",
-    "Laplacian",
     "MultiViewDataset",
     "NumericError",
     "RunConfig",

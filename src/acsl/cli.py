@@ -8,6 +8,7 @@ are still written).
 """
 
 import argparse
+from dataclasses import fields
 import os
 import sys
 from pathlib import Path
@@ -72,41 +73,36 @@ def _output_dir(args) -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "results"))
 
 
+def _given(args, cls) -> dict:
+    """Fields of dataclass cls set by flag; unset flags (SUPPRESS) keep its defaults."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _hyperparams(args) -> Hyperparams:
-    return Hyperparams(
-        k=args.clusters,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-        max_outer_iters=args.max_outer_iters,
-        tol_rel_objective=args.tol_rel_objective,
-        adaptive_alpha=args.adaptive_alpha,
-    )
+    return Hyperparams(k=args.clusters, **_given(args, Hyperparams))
 
 
 def _run_config(args) -> RunConfig:
-    return RunConfig(
-        hyperparams=_hyperparams(args),
-        k_neighbors=args.k_neighbors,
-        l_grid=_parse_int_list(args.l_grid) if args.l_grid else None,
-        kmeans_restarts=args.kmeans_restarts,
-        eval_seeds=_parse_int_list(args.eval_seeds),
-        output_dir=str(_output_dir(args)),
-    )
+    given = _given(args, RunConfig)
+    if "eval_seeds" in given:
+        given["eval_seeds"] = _parse_int_list(given["eval_seeds"])
+    given.update(l_grid=_parse_int_list(args.l_grid) if args.l_grid else None,
+                 output_dir=str(_output_dir(args)))
+    return RunConfig(hyperparams=_hyperparams(args), **given)
 
 
 def _add_hyperparam_flags(sub: argparse.ArgumentParser) -> None:
+    unset = argparse.SUPPRESS
     sub.add_argument("--clusters", type=int, required=True, help="target cluster count k")
-    sub.add_argument("--alpha", type=float, default=1.0, help="rank-surrogate weight")
-    sub.add_argument("--beta", type=float, default=1.0, help="regression weight")
-    sub.add_argument("--gamma", type=float, default=1.0, help="row-sparsity weight")
-    sub.add_argument("--epsilon", type=float, default=1e-8, help="reweighting smoothing")
-    sub.add_argument("--max-outer-iters", type=int, default=100)
-    sub.add_argument("--tol-rel-objective", type=float, default=1e-6)
-    sub.add_argument("--adaptive-alpha", action="store_true",
+    sub.add_argument("--alpha", type=float, default=unset, help="rank-surrogate weight")
+    sub.add_argument("--beta", type=float, default=unset, help="regression weight")
+    sub.add_argument("--gamma", type=float, default=unset, help="row-sparsity weight")
+    sub.add_argument("--epsilon", type=float, default=unset, help="reweighting smoothing")
+    sub.add_argument("--max-outer-iters", type=int, default=unset)
+    sub.add_argument("--tol-rel-objective", type=float, default=unset)
+    sub.add_argument("--adaptive-alpha", action="store_true", default=unset,
                      help="double/halve alpha to steer the component count to k")
-    sub.add_argument("--k-neighbors", type=int, default=10)
+    sub.add_argument("--k-neighbors", type=int, default=unset)
 
 
 def _add_output_dir_flag(sub: argparse.ArgumentParser) -> None:
@@ -117,15 +113,15 @@ def _add_output_dir_flag(sub: argparse.ArgumentParser) -> None:
 def _add_eval_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--l-grid", default=None,
                      help="comma-separated selected-feature counts (default: all)")
-    sub.add_argument("--kmeans-restarts", type=int, default=50)
-    sub.add_argument("--eval-seeds", default="0,1,2,3,4,5,6,7,8,9",
+    sub.add_argument("--kmeans-restarts", type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--eval-seeds", default=argparse.SUPPRESS,
                      help="comma-separated k-means evaluation seeds")
 
 
 def _fit_state(args):
     hp = _hyperparams(args)
-    manifest = DatasetManifest.from_file(args.manifest)
-    dataset, _, graphs = _load_problem(manifest, args.k_neighbors)
+    k_neighbors = getattr(args, "k_neighbors", RunConfig.k_neighbors)
+    dataset, _, graphs = _load_problem(DatasetManifest.from_file(args.manifest), k_neighbors)
     return dataset, _staged_fit(graphs, dataset.stacked, hp)
 
 

@@ -3,29 +3,24 @@ and normalized mutual information.
 
 k-means is implemented here (rather than borrowed) so restarts, tie-breaks,
 and empty-cluster repair are fully deterministic given the seed, which the
-experiment pipeline relies on for reproducible reports.
+experiment pipeline relies on for reproducible reports. ACC and NMI are
+plain floats, in [0, 1] by construction.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .numerics import squared_distances
+
 KMEANS_MAX_ITERS = 300
 KMEANS_REL_TOL = 1e-8
-
-
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq_a = np.sum(a * a, axis=1)
-    sq_b = np.sum(b * b, axis=1)
-    return np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T), 0.0)
 
 
 def _kmeanspp_centers(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = data.shape[0]
     centers = np.empty((k, data.shape[1]))
     centers[0] = data[rng.integers(n)]
-    d2 = _squared_distances(data, centers[:1])[:, 0]
+    d2 = squared_distances(data, centers[:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -33,7 +28,7 @@ def _kmeanspp_centers(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[c] = data[idx]
-        d2 = np.minimum(d2, _squared_distances(data, centers[c : c + 1])[:, 0])
+        d2 = np.minimum(d2, squared_distances(data, centers[c : c + 1])[:, 0])
     return centers
 
 
@@ -42,7 +37,7 @@ def _lloyd(data: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     prev_inertia = np.inf
     labels = np.zeros(data.shape[0], dtype=int)
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = _squared_distances(data, centers)
+        d2 = squared_distances(data, centers)
         labels = d2.argmin(axis=1)
         # Repair empty clusters by reseeding them at the point currently
         # farthest from its assigned center.
@@ -138,30 +133,6 @@ def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     outer = p_rows[:, None] * p_cols[None, :]
     info = float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))
     return float(min(1.0, max(0.0, info / np.sqrt(h_rows * h_cols))))
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Clustering quality of one selected-feature subset.
-
-    Mean/std of ACC and NMI over the evaluation runs (one k-means per
-    evaluation seed).
-    """
-
-    acc_mean: float
-    acc_std: float
-    nmi_mean: float
-    nmi_std: float
-    runs: int
-    selected_count: int
-
-    def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        for name in ("acc_mean", "acc_std", "nmi_mean", "nmi_std"):
-            value = getattr(self, name)
-            if not -1e-12 <= value <= 1.0 + 1e-12:
-                raise ValueError(f"{name}={value} outside [0, 1]")
 
 
 def score_clustering(

@@ -24,7 +24,7 @@ from .data import (
     write_lines,
 )
 from .errors import ConfigError, NumericError
-from .evaluation import EvalReport, score_clustering
+from .evaluation import score_clustering
 from .graph import build_view_affinity
 from .selection import rank_features, select_top
 from .solver import Hyperparams, SolverState, fit
@@ -164,11 +164,9 @@ def _run_problem(problem, config: RunConfig) -> dict:
                     config.kmeans_restarts,
                     config.eval_seeds,
                 )
-            metrics = dict(acc_mean=float(accs.mean()), acc_std=float(accs.std()),
-                           nmi_mean=float(nmis.mean()), nmi_std=float(nmis.std()),
-                           runs=len(config.eval_seeds))
-            EvalReport(selected_count=int(l), **metrics)  # checks the [0, 1] ranges
-            entry.update(metrics)
+            entry.update(acc_mean=float(accs.mean()), acc_std=float(accs.std()),
+                         nmi_mean=float(nmis.mean()), nmi_std=float(nmis.std()),
+                         runs=len(config.eval_seeds))
         else:
             entry.update(acc_mean=None, acc_std=None, nmi_mean=None, nmi_std=None,
                          runs=0)

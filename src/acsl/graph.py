@@ -1,16 +1,17 @@
 """Affinity graph construction, Laplacians, and component diagnostics.
 
-A similarity structure is stored column-stochastically: column j holds the
-affinities of every sample to sample j and lies on the probability simplex.
+A similarity structure is an ``AffinityGraph``, stored column-stochastically:
+column j holds the affinities of every sample to sample j and lies on the
+probability simplex. Its Laplacian is a plain n x n array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import ConfigError
+from .numerics import squared_distances
 
 # Symmetrized edge weights above this count as edges when counting components.
 COMPONENT_EDGE_THRESHOLD = 1e-8
@@ -49,23 +50,6 @@ class AffinityGraph:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Laplacian:
-    """Symmetric graph Laplacian D - (S + S^T)/2 with its degree vector.
-
-    The degree matrix D is built from row sums of the symmetrized weights so
-    the Laplacian is symmetric positive semidefinite with zero row sums.
-    """
-
-    matrix: np.ndarray
-    degree: np.ndarray
-
-    def __post_init__(self):
-        worst = np.abs(self.matrix.sum(axis=1)).max()
-        if worst > 1e-9:
-            raise ValueError(f"Laplacian row sums must vanish, worst {worst:.3e}")
-
-
 def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     """Build a k-nearest-neighbor heat-kernel affinity graph for one view.
 
@@ -94,8 +78,7 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
             f"k_neighbors={k_neighbors} requires at least {k_neighbors + 1} samples, got {n}"
         )
 
-    sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    d2 = squared_distances(x, x)
     np.fill_diagonal(d2, np.inf)
 
     k = k_neighbors
@@ -123,24 +106,19 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     return AffinityGraph(matrix=matrix)
 
 
-def laplacian_of(s: AffinityGraph) -> Laplacian:
-    """Laplacian D - A of the symmetrized weights A = (S + S^T)/2."""
+def laplacian_of(s: AffinityGraph) -> np.ndarray:
+    """Laplacian D - A of the symmetrized weights A = (S + S^T)/2, with
+    D = diag(row sums of A): symmetric PSD, zero row sums up to round-off."""
     a = 0.5 * (s.matrix + s.matrix.T)
-    degree = a.sum(axis=1)
-    lap = np.diag(degree) - a
-    return Laplacian(matrix=lap, degree=degree)
+    return np.diag(a.sum(axis=1)) - a
 
 
-def connected_components(
-    s: AffinityGraph, threshold: float = COMPONENT_EDGE_THRESHOLD
-) -> int:
+def connected_components(s: AffinityGraph) -> int:
     """Number of connected components of the thresholded undirected graph.
 
-    Samples i and j are adjacent iff (S_ij + S_ji)/2 > threshold; the count
-    is found by graph traversal.
+    Samples i and j are adjacent iff (S_ij + S_ji)/2 > COMPONENT_EDGE_THRESHOLD;
+    the count is found by graph traversal.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    adjacency = 0.5 * (s.matrix + s.matrix.T) > threshold
+    adjacency = 0.5 * (s.matrix + s.matrix.T) > COMPONENT_EDGE_THRESHOLD
     count, _ = csgraph.connected_components(csr_matrix(adjacency), directed=False)
     return int(count)

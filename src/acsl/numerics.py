@@ -1,5 +1,5 @@
-"""Dense numerical kernels: symmetric eigensolves, SPD linear solves, and
-exact Euclidean projection onto the probability simplex.
+"""Dense numerical kernels: squared distances, symmetric eigensolves, SPD
+solves, and exact Euclidean projection onto the probability simplex.
 
 All functions are pure and operate on plain float ndarrays. Square inputs
 are symmetrized on entry, so callers may pass matrices that are symmetric
@@ -13,6 +13,13 @@ from .errors import NumericError
 
 # Relative Tikhonov ridge applied once when a Cholesky factorization fails.
 SPD_RIDGE_SCALE = 1e-10
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d[i, j] = ||a_i - b_j||^2 between the rows of a and b, clipped at 0."""
+    sq_a = np.sum(a * a, axis=1)
+    sq_b = sq_a if b is a else np.sum(b * b, axis=1)
+    return np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T), 0.0)
 
 
 def symmetrized(a: np.ndarray) -> np.ndarray:

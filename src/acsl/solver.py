@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .graph import AffinityGraph, connected_components, laplacian_of
-from .numerics import project_simplex_columns, smallest_k_eigen, solve_spd
+from .numerics import project_simplex_columns, smallest_k_eigen, solve_spd, squared_distances
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,19 @@ def _fused_columns(views: list[AffinityGraph], w: np.ndarray) -> np.ndarray:
     return fused
 
 
+def _finite(m: np.ndarray, name: str) -> np.ndarray:
+    """m, if m and its symmetric part are finite; its callers' callers ignore
+    floating-point warnings (np.errstate), so an overflow surfaces here."""
+    if not np.abs(m).max() <= np.finfo(float).max / 2:  # False on nan
+        raise NumericError(f"{name} overflows at these alpha, beta and gamma")
+    return m
+
+
 def _regularized_gram(gram: np.ndarray, gamma: float, gamma_diag: np.ndarray) -> np.ndarray:
     """Q = X^T X + gamma * diag(gamma_diag) from X^T X, which is left unchanged."""
     q = gram.copy()
     q[np.diag_indices_from(q)] += gamma * gamma_diag
-    return q
+    return _finite(q, "Q")
 
 
 def _uses_dual_form(x: np.ndarray) -> bool:
@@ -147,11 +155,11 @@ def _dual_gram(
     Built as Y Y^T + I with Y = X sqrt(D), a symmetric rank-d product.
     Returns (K, sqrt(diag D), Y).
     """
-    root = 1.0 / np.sqrt(gamma * gamma_diag)
+    root = 1.0 / np.sqrt(_finite(gamma * gamma_diag, "gamma G"))
     y = x * root
     k = y @ y.T
     k[np.diag_indices_from(k)] += 1.0
-    return k, root, y
+    return _finite(k, "K"), root, y
 
 
 def _row_norms(p: np.ndarray) -> np.ndarray:
@@ -168,6 +176,7 @@ def _reweighting_of(p: np.ndarray, epsilon: float) -> np.ndarray:
     return 1.0 / (2.0 * _smoothed_row_norms(p, epsilon))
 
 
+@np.errstate(all="ignore")
 def _solve_projection(
     x: np.ndarray, f: np.ndarray, gamma: float, gamma_diag: np.ndarray
 ) -> np.ndarray:
@@ -212,6 +221,7 @@ def update_p(
     return _solve_projection(x, state.f, hp.gamma, weights), weights
 
 
+@np.errstate(all="ignore")
 def _embedding_operator(
     s: AffinityGraph, x: np.ndarray, gamma_diag: np.ndarray, hp: Hyperparams
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -221,7 +231,7 @@ def _embedding_operator(
     Q^{-1} X^T itself, not from the residual X^T C F, whose round-off
     (gamma G)^{-1} would amplify. ``smallest_k_eigen`` symmetrizes the operator.
     """
-    lap = laplacian_of(s).matrix
+    lap = laplacian_of(s)
     n = x.shape[0]
     if _uses_dual_form(x):
         k, root, y = _dual_gram(x, hp.gamma, gamma_diag)
@@ -234,7 +244,7 @@ def _embedding_operator(
         complement = np.eye(n) - x @ back
         def project(f: np.ndarray) -> np.ndarray:
             return back @ f
-    return hp.alpha * lap + hp.beta * complement, project
+    return _finite(hp.alpha * lap + hp.beta * complement, "embedding operator"), project
 
 
 def update_f(
@@ -262,12 +272,6 @@ def update_f(
     return f, project(f)
 
 
-def _indicator_sq_distances(f: np.ndarray) -> np.ndarray:
-    """a[i, j] = ||f_i - f_j||^2 over indicator rows."""
-    sq = np.sum(f * f, axis=1)
-    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * (f @ f.T), 0.0)
-
-
 def update_s(
     state: SolverState, views: list[AffinityGraph], hp: Hyperparams
 ) -> AffinityGraph:
@@ -285,7 +289,7 @@ def update_s(
     of b_j - (alpha / 4) a_j.
     """
     fused = _fused_columns(views, state.w)
-    shift = _indicator_sq_distances(state.f)
+    shift = squared_distances(state.f, state.f)
     return AffinityGraph(project_simplex_columns(fused - 0.25 * hp.alpha * shift))
 
 
@@ -340,7 +344,7 @@ def objective(
     fused = _fused_columns(views, state.w)
     resid_s = state.s.matrix - fused
     fusion = float(np.sum(resid_s * resid_s))
-    lap = laplacian_of(state.s).matrix
+    lap = laplacian_of(state.s)
     spectral = float(np.sum(state.f * (lap @ state.f)))
     resid_f = x @ state.p - state.f
     fit = float(np.sum(resid_f * resid_f))

@@ -49,8 +49,8 @@ def generate_synthetic(
     for d_v, noise_level, fraction in views:
         if d_v < 1:
             raise ConfigError(f"view dimension must be positive, got {d_v}")
-        if noise_level < 0:
-            raise ConfigError(f"noise_level must be nonnegative, got {noise_level}")
+        if not 0.0 <= noise_level < np.inf:
+            raise ConfigError(f"noise_level must be nonnegative and finite, got {noise_level}")
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError(f"informative_fraction must be in [0, 1], got {fraction}")
         m = int(round(d_v * fraction))

@@ -135,7 +135,7 @@ def test_criterion_3_adaptive_alpha_realizes_rank_constraint():
         hp = Hyperparams(k=3, adaptive_alpha=True, max_outer_iters=25)
         state = fit(graphs, np.hstack(mats), hp)
         comps = connected_components(state.s)
-        vals, _ = smallest_k_eigen(laplacian_of(state.s).matrix, 10)
+        vals, _ = smallest_k_eigen(laplacian_of(state.s), 10)
         spectral = int(np.sum(vals < 1e-7))
         if comps == 3 and spectral == comps:
             successes += 1

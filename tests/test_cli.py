@@ -132,6 +132,84 @@ def test_non_finite_hyperparameter_exits_2_before_loading(dataset_dir, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--beta", "--gamma"])
+def test_weight_that_overflows_exits_3_in_the_fitting_stage(flag, dataset_dir, tmp_path,
+                                                            capsys):
+    code = main(["fit", str(dataset_dir / "manifest.json"), "--clusters", "3",
+                 flag, "1e308", "--output-dir", str(tmp_path / "o")])
+    assert code == 3
+    assert "numeric failure: fitting: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_non_finite_noise_level_exits_2_before_writing(noise, tmp_path, capsys):
+    code = main(["generate", "--clusters", "3", "--n-per-cluster", "5",
+                 "--views", f"6:{noise}:0.5", "--output-dir", str(tmp_path / "data")])
+    assert code == 2
+    assert "noise_level must be nonnegative and finite" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+class _Captured(Exception):
+    pass
+
+
+SET_FLAGS = ["--alpha", "2", "--beta", "3", "--gamma", "4", "--epsilon", "1e-6",
+             "--max-outer-iters", "7", "--tol-rel-objective", "1e-5", "--adaptive-alpha",
+             "--k-neighbors", "6"]
+SET_EVAL_FLAGS = ["--kmeans-restarts", "5", "--eval-seeds", "3,4"]
+
+
+@pytest.mark.parametrize("given", ["none", "all"])
+@pytest.mark.parametrize("verb", ["fit", "evaluate", "grid", "trace"])
+def test_each_flag_sets_its_field_and_unset_flags_keep_the_library_defaults(
+    verb, given, dataset_dir, tmp_path, monkeypatch
+):
+    import acsl.cli as cli_module
+    from acsl import Hyperparams, RunConfig
+
+    seen = {}
+
+    class Dataset:
+        stacked = None
+
+    def load(manifest, k_neighbors):
+        seen["k_neighbors"] = k_neighbors
+        return Dataset(), None, None
+
+    def staged_fit(graphs, x, hp):
+        seen["hp"] = hp
+        raise _Captured
+
+    def run(manifest, config, **_):
+        seen["config"] = config
+        raise _Captured
+
+    monkeypatch.setattr(cli_module, "_load_problem", load)
+    monkeypatch.setattr(cli_module, "_staged_fit", staged_fit)
+    monkeypatch.setattr(cli_module, "run_experiment", run)
+    monkeypatch.setattr(cli_module, "run_grid", run)
+    monkeypatch.delenv(cli_module.OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    flags = []
+    if given == "all":
+        flags = SET_FLAGS + (SET_EVAL_FLAGS if verb in ("evaluate", "grid") else [])
+    with pytest.raises(_Captured):
+        main([verb, str(dataset_dir / "manifest.json"), "--clusters", "3", *flags])
+
+    if given == "none":
+        hp, config = Hyperparams(k=3), RunConfig(hyperparams=Hyperparams(k=3))
+    else:
+        hp = Hyperparams(k=3, alpha=2.0, beta=3.0, gamma=4.0, epsilon=1e-6,
+                         max_outer_iters=7, tol_rel_objective=1e-5, adaptive_alpha=True)
+        config = RunConfig(hyperparams=hp, k_neighbors=6, kmeans_restarts=5,
+                           eval_seeds=(3, 4))
+    if verb in ("fit", "trace"):
+        assert seen == {"k_neighbors": config.k_neighbors, "hp": hp}
+    else:
+        assert seen == {"config": config}
+
+
 def test_invalid_grid_point_exits_2_before_any_fit(dataset_dir, tmp_path, capsys):
     code = main([
         "grid", str(dataset_dir / "manifest.json"), "--clusters", "3",

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from acsl.evaluation import (
-    EvalReport,
     _lloyd,
     clustering_accuracy,
     kmeans,
     nmi,
     score_clustering,
 )
+from acsl.numerics import squared_distances
 
 
 def partition_inertia(data, labels):
@@ -68,9 +68,7 @@ def test_lloyd_refines_beyond_the_first_assignment():
     rng = np.random.default_rng(70)
     data = np.vstack([rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + [4.0, 0.0]])
     centers = np.array([[-2.0, 0.0], [1.5, 0.0]])
-    from acsl.evaluation import _squared_distances
-
-    first = _squared_distances(data, centers).argmin(axis=1)
+    first = squared_distances(data, centers).argmin(axis=1)
     one_step_centers = np.array([data[first == c].mean(axis=0) for c in range(2)])
     one_step = float(np.sum((data - one_step_centers[first]) ** 2))
     _, converged = _lloyd(data, centers.copy())
@@ -182,17 +180,6 @@ def test_nmi_invariant_to_relabeling():
     assert nmi(perm[pred], truth) == pytest.approx(base, abs=1e-12)
     perm_t = np.array([3, 0, 8, 2])
     assert nmi(pred, perm_t[truth]) == pytest.approx(base, abs=1e-12)
-
-
-# -------------------------------------------------------------------- report
-
-def test_eval_report_validates_fields():
-    with pytest.raises(ValueError):
-        EvalReport(acc_mean=0.5, acc_std=0.1, nmi_mean=0.5, nmi_std=0.1,
-                   runs=0, selected_count=3)
-    with pytest.raises(ValueError):
-        EvalReport(acc_mean=1.5, acc_std=0.1, nmi_mean=0.5, nmi_std=0.1,
-                   runs=1, selected_count=3)
 
 
 def test_score_clustering_runs_per_seed():

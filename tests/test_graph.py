@@ -146,13 +146,13 @@ def test_affinity_graph_validates_columns():
 def test_laplacian_two_node_chain():
     g = AffinityGraph(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
     lap = laplacian_of(g)
-    assert np.allclose(lap.matrix, [[1.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(lap.degree, [1.0, 1.0])
+    assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(np.diag(lap), [1.0, 1.0])  # the degrees: g has a zero diagonal
 
 
 def test_laplacian_identity_graph_is_zero():
     g = AffinityGraph(matrix=np.eye(4))
-    assert np.allclose(laplacian_of(g).matrix, 0.0)
+    assert np.allclose(laplacian_of(g), 0.0)
 
 
 def test_laplacian_row_sums_and_psd():
@@ -160,17 +160,17 @@ def test_laplacian_row_sums_and_psd():
     for _ in range(10):
         g = random_affinity(rng, int(rng.integers(3, 20)))
         lap = laplacian_of(g)
-        assert np.abs(lap.matrix.sum(axis=1)).max() <= 1e-9
-        vals, _ = smallest_k_eigen(lap.matrix, 1)
+        assert np.abs(lap.sum(axis=1)).max() <= 1e-9
+        vals, _ = smallest_k_eigen(lap, 1)
         assert vals[0] >= -1e-8
         # constant vector in the null space
-        assert np.abs(lap.matrix @ np.ones(g.n)).max() <= 1e-9
+        assert np.abs(lap @ np.ones(g.n)).max() <= 1e-9
 
 
 def test_laplacian_quadratic_form_identity_oracle():
     rng = np.random.default_rng(14)
     g = random_affinity(rng, 12)
-    lap = laplacian_of(g).matrix
+    lap = laplacian_of(g)
     a = 0.5 * (g.matrix + g.matrix.T)
     for _ in range(5):
         x = rng.normal(size=12)
@@ -198,8 +198,7 @@ def test_components_threshold_removes_weak_edges():
     m[0, 1] = m[1, 0] = 1e-10
     m /= m.sum(axis=0)
     g = AffinityGraph(matrix=m)
-    assert connected_components(g) == 3  # default threshold 1e-8 drops the edge
-    assert connected_components(g, threshold=1e-12) == 2
+    assert connected_components(g) == 3  # the 1e-8 edge threshold drops the edge
 
 
 def test_components_match_spectral_multiplicity_oracle():
@@ -209,7 +208,7 @@ def test_components_match_spectral_multiplicity_oracle():
         n_blocks = int(rng.integers(1, 5))
         sizes = [int(rng.integers(2, 6)) for _ in range(n_blocks)]
         g = block_affinity(rng, sizes)
-        lap = laplacian_of(g).matrix
+        lap = laplacian_of(g)
         vals, _ = smallest_k_eigen(lap, g.n)
         spectral = int(np.sum(vals < 1e-7))
         assert connected_components(g) == spectral == n_blocks

@@ -8,10 +8,24 @@ from acsl.numerics import (
     project_simplex_columns,
     smallest_k_eigen,
     solve_spd,
+    squared_distances,
     symmetrized,
 )
 
 from helpers import random_orthonormal, random_spd
+
+
+# ------------------------------------------------------------ squared distances
+
+def test_squared_distances_match_the_row_differences():
+    rng = np.random.default_rng(40)
+    a = rng.normal(size=(7, 4))
+    b = rng.normal(size=(5, 4))
+    direct = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    assert np.allclose(squared_distances(a, b), direct, rtol=1e-12, atol=1e-12)
+    own = squared_distances(a, a)
+    assert np.array_equal(own, own.T)
+    assert (own >= 0).all() and np.abs(np.diag(own)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- eigensolve

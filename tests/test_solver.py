@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from acsl import solver
-from acsl.errors import ConfigError
+from acsl.errors import ConfigError, NumericError
 from acsl.graph import AffinityGraph, connected_components, laplacian_of
-from acsl.numerics import project_simplex, solve_spd
+from acsl.numerics import project_simplex, solve_spd, squared_distances
 from acsl.solver import (
     Hyperparams,
     SolverState,
     _embedding_operator,
-    _indicator_sq_distances,
     _reweighting_of,
     _solve_projection,
     _uses_dual_form,
@@ -53,6 +52,19 @@ def test_hyperparams_validation():
 def test_hyperparams_reject_non_finite_weights(name, value):
     with pytest.raises(ConfigError, match=name):
         Hyperparams(k=3, **{name: value})
+
+
+@pytest.mark.parametrize("name,value,shape", [
+    ("alpha", 1e308, {}), ("beta", 1e308, {}), ("gamma", 1e308, {}),
+    ("gamma", 1e308, WIDE), ("gamma", 1e-320, WIDE),
+], ids=["alpha", "beta", "gamma", "gamma-dual", "tiny-gamma-dual"])
+def test_weights_that_overflow_the_solver_are_a_numeric_error(name, value, shape):
+    # Finite weights whose products overflow the embedding operator, Q or
+    # (in the dual form) gamma G or K raise NumericError, with no overflow
+    # warning on the way (the suite turns warnings into errors).
+    graphs, x, _, hp = blob_problem(3, **shape, **{name: value})
+    with pytest.raises(NumericError, match="overflows"):
+        fit(graphs, x, hp)
 
 
 # -------------------------------------------------------------- initialize
@@ -215,7 +227,7 @@ def test_update_f_small_beta_reduces_to_laplacian_embedding():
     state, graphs, x, hp = random_state(29)
     hp_small = Hyperparams(k=hp.k, beta=1e-9)
     f, _ = update_f(state, x, hp_small)
-    lap = laplacian_of(state.s).matrix
+    lap = laplacian_of(state.s)
     target = np.linalg.eigvalsh(lap)[: hp.k].sum()
     assert abs(np.trace(f.T @ lap @ f) - target) <= 1e-6
 
@@ -231,7 +243,7 @@ def test_update_f_disconnected_blocks_give_zero_trace():
     state = SolverState(p=np.zeros((3, 2)), f=np.zeros((8, 2)), s=s,
                         w=np.ones((1, 8)), gamma_diag=np.ones(3))
     f, _ = update_f(state, x, Hyperparams(k=2, beta=1e-9))
-    lap = laplacian_of(s).matrix
+    lap = laplacian_of(s)
     assert np.trace(f.T @ lap @ f) <= 1e-8
 
 
@@ -284,7 +296,7 @@ def test_dual_form_is_taken_exactly_when_d_exceeds_n():
 def test_embedding_operator_matches_explicit_formula(n, d):
     state, x, hp = dense_state(52, n, d)
     back = np.linalg.solve(explicit_q(x, hp, state.gamma_diag), x.T)
-    expected = hp.alpha * laplacian_of(state.s).matrix + hp.beta * (np.eye(n) - x @ back)
+    expected = hp.alpha * laplacian_of(state.s) + hp.beta * (np.eye(n) - x @ back)
     expected = 0.5 * (expected + expected.T)
     m, _ = _embedding_operator(state.s, x, state.gamma_diag, hp)
     assert np.linalg.norm(m - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -417,7 +429,7 @@ def test_update_s_huge_alpha_concentrates_on_nearest_indicator_row():
     state, graphs, x, hp = random_state(34)
     hp_huge = Hyperparams(k=hp.k, alpha=1e12)
     s = update_s(state, graphs, hp_huge)
-    shift = _indicator_sq_distances(state.f)
+    shift = squared_distances(state.f, state.f)
     for j in range(s.n):
         col = s.matrix[:, j]
         winner = int(np.argmin(shift[:, j]))
@@ -439,7 +451,7 @@ def test_update_s_column_matches_coarse_grid_search_oracle():
     s = update_s(state, views, Hyperparams(k=2, alpha=alpha))
 
     fused = sum(v.matrix * w[i][None, :] for i, v in enumerate(views))
-    shift = _indicator_sq_distances(f)
+    shift = squared_distances(f, f)
     steps = 18
     grid_points = []
     for combo in itertools.combinations(range(steps + n - 1), n - 1):
@@ -462,7 +474,7 @@ def test_update_s_beats_random_simplex_points():
     state, graphs, x, hp = random_state(36)
     s = update_s(state, graphs, hp)
     fused = sum(v.matrix * state.w[i][None, :] for i, v in enumerate(graphs))
-    shift = _indicator_sq_distances(state.f)
+    shift = squared_distances(state.f, state.f)
     rng = np.random.default_rng(37)
     n = s.n
     for j in range(min(n, 10)):
@@ -597,7 +609,7 @@ def test_objective_single_view_has_zero_fusion_term():
     x = rng.normal(size=(10, 5))
     hp = Hyperparams(k=2)
     state = initialize([g], x, hp)
-    lap = laplacian_of(state.s).matrix
+    lap = laplacian_of(state.s)
     resid = x @ state.p - state.f
     expected = (hp.alpha * np.trace(state.f.T @ lap @ state.f)
                 + hp.beta * (np.sum(resid * resid)
@@ -610,7 +622,7 @@ def test_objective_zero_projection_fit_term_is_beta_k():
     state.p = np.zeros_like(state.p)
     value = objective(state, graphs, x, hp)
     fused = sum(v.matrix * state.w[i][None, :] for i, v in enumerate(graphs))
-    lap = laplacian_of(state.s).matrix
+    lap = laplacian_of(state.s)
     expected = (float(np.sum((state.s.matrix - fused) ** 2))
                 + hp.alpha * np.trace(state.f.T @ lap @ state.f)
                 + hp.beta * hp.k)

@@ -67,3 +67,6 @@ def test_generator_validates_arguments():
         generate_synthetic(3, 2, [(5, -0.1, 0.5)], seed=0)
     with pytest.raises(ConfigError):
         generate_synthetic(3, 2, [(5, 0.1, 1.5)], seed=0)
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="noise_level must be nonnegative and finite"):
+            generate_synthetic(3, 2, [(5, noise, 0.5)], seed=0)
