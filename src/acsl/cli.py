@@ -53,18 +53,13 @@ def _parse_views(text: str) -> list[tuple[int, float, float]]:
     return views
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type) -> tuple:
+    """Parse a comma-separated list of `kind` (int or float) values."""
     try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
+        return tuple(kind(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}: {exc}")
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}: {exc}")
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"expected comma-separated {noun}, got {text!r}: {exc}")
 
 
 def _output_dir(args) -> Path:
@@ -85,8 +80,8 @@ def _hyperparams(args) -> Hyperparams:
 def _run_config(args) -> RunConfig:
     given = _given(args, RunConfig)
     if "eval_seeds" in given:
-        given["eval_seeds"] = _parse_int_list(given["eval_seeds"])
-    given.update(l_grid=_parse_int_list(args.l_grid) if args.l_grid else None,
+        given["eval_seeds"] = _parse_list(given["eval_seeds"], int)
+    given.update(l_grid=None if args.l_grid is None else _parse_list(args.l_grid, int),
                  output_dir=str(_output_dir(args)))
     return RunConfig(hyperparams=_hyperparams(args), **given)
 
@@ -168,7 +163,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_grid(args) -> int:
     manifest = DatasetManifest.from_file(args.manifest)
-    values = _parse_float_list(args.grid_values) if args.grid_values else DEFAULT_GRID
+    values = DEFAULT_GRID if args.grid_values is None else _parse_list(args.grid_values, float)
     summary = run_grid(manifest, _run_config(args), values=values, jobs=args.jobs)
     best = summary["best"]
     if best is not None:

@@ -13,6 +13,8 @@ from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 import json
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -22,6 +24,13 @@ from .errors import ConfigError
 FLOAT_FORMAT = "%.17g"
 
 MANIFEST_SCHEMA_VERSION = 1
+
+# Characters a FLOAT_FORMAT number can hold, which no delimiter may hold.
+_NUMBER_CHARS = frozenset("0123456789.+-eE")
+
+# How a manifest file spells each field type.
+_JSON_TYPES = {str: "a string", bool: "true or false", int: "an integer", list: "a list",
+               NoneType: "null"}
 
 
 @dataclass(frozen=True)
@@ -91,14 +100,40 @@ class MultiViewDataset:
         return np.concatenate(parts)
 
 
+def _check_types(spec) -> None:
+    """Raise a ConfigError naming the first field of dataclass `spec` whose
+    value is not of the field's type. The test is `type(value) is t`, since
+    True would pass isinstance(True, int)."""
+    for f in fields(spec):
+        types = get_args(f.type) if isinstance(f.type, UnionType) else (f.type,)
+        types = [get_origin(t) or t for t in types]
+        value = getattr(spec, f.name)
+        if type(value) not in types:
+            expected = " or ".join(_JSON_TYPES[t] for t in types)
+            raise ConfigError(f"manifest field {f.name!r} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ViewSpec:
-    """How to locate and parse one view's matrix file."""
+    """How to locate and parse one view's matrix file.
+
+    The delimiter must split written numbers back apart: it is nonempty and
+    holds no line break and no _NUMBER_CHARS. A blank one splits on any
+    whitespace run.
+    """
 
     path: str
     delimiter: str = ","
     has_header: bool = False
     dims: int | None = None
+
+    def __post_init__(self):
+        _check_types(self)
+        if self.delimiter.splitlines() != [self.delimiter] or _NUMBER_CHARS & set(self.delimiter):
+            raise ConfigError(
+                f"delimiter {self.delimiter!r} must be nonempty and hold no line break "
+                "and none of 0-9 . + - e E"
+            )
 
 
 @dataclass(frozen=True)
@@ -118,6 +153,7 @@ class DatasetManifest:
     base_dir: str = "."
 
     def __post_init__(self):
+        _check_types(self)
         if not self.views:
             raise ConfigError(f"manifest '{self.name}' declares no views")
 
@@ -171,31 +207,40 @@ class DatasetManifest:
 
 
 def _parse_matrix(path: Path, delimiter: str, has_header: bool) -> np.ndarray:
-    """Parse a delimited numeric text matrix with precise error locations.
+    """Parse a delimited numeric text matrix in one pass.
 
-    Each row is converted by one numpy call, which accepts exactly the cells
-    `float()` accepts and gives the same bits. A file that does not convert
-    that way into a finite, rectangular, nonempty matrix is parsed again by
-    `_parse_cells`, whose error names the row, the column and the cell.
+    Each data row is converted by one numpy call, which accepts exactly the
+    cells `float()` accepts and gives the same bits. The pass stops at the
+    first row that does not convert or whose width differs from the first
+    row's. The file's first defect is in that row or in an earlier one that
+    holds a non-finite value; `_reject_row` names its row, column and cell.
     """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise ConfigError(f"view file not found: {path}")
-    start = 1 if has_header else 0
-    try:
-        rows = [
-            np.array(_cells(line, delimiter), dtype=float)
-            for line in lines[start:]
-            if line.strip()
-        ]
-    except ValueError:
-        rows = []
-    if rows and len({row.size for row in rows}) == 1:
-        matrix = np.array(rows)
-        if np.isfinite(matrix).all():
-            return matrix
-    return _parse_cells(path, lines, start, delimiter)
+    rows, numbers, stop = [], [], None
+    for r in range(1 if has_header else 0, len(lines)):
+        if not lines[r].strip():
+            continue
+        try:
+            row = np.array(_cells(lines[r], delimiter), dtype=float)
+        except ValueError:
+            row = None
+        if row is None or (rows and row.size != rows[0].size):
+            stop = r
+            break
+        rows.append(row)
+        numbers.append(r)
+    matrix = np.array(rows)
+    if rows and not np.isfinite(matrix).all():
+        stop = numbers[np.isfinite(matrix).all(axis=1).argmin()]
+    if stop is not None:
+        width = rows[0].size if rows else None
+        _reject_row(path, stop, _cells(lines[stop], delimiter), width)
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    return matrix
 
 
 def _cells(line: str, delimiter: str) -> list[str]:
@@ -203,38 +248,19 @@ def _cells(line: str, delimiter: str) -> list[str]:
     return line.split() if delimiter.strip() == "" else line.split(delimiter)
 
 
-def _parse_cells(path: Path, lines: list[str], start: int, delimiter: str) -> np.ndarray:
-    """Cell-by-cell parse of `lines[start:]`, raising a ConfigError at the
-    first cell or row that does not fit a finite numeric matrix."""
-    rows: list[list[float]] = []
-    width = None
-    for r in range(start, len(lines)):
-        line = lines[r]
-        if not line.strip():
-            continue
-        values = []
-        for c, cell in enumerate(_cells(line, delimiter)):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {r + 1}, column {c + 1}"
-                )
-            if not np.isfinite(value):
-                raise ConfigError(
-                    f"{path}: non-finite value {cell.strip()!r} at row {r + 1}, column {c + 1}"
-                )
-            values.append(value)
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
+def _reject_row(path: Path, r: int, cells: list[str], width: int | None):
+    """Raise a ConfigError at the first cell of line `r` that is not a finite
+    number or, if there is none, at the row's width."""
+    for c, cell in enumerate(cells):
+        try:
+            defect = None if np.isfinite(float(cell)) else "non-finite"
+        except ValueError:
+            defect = "non-numeric"
+        if defect:
             raise ConfigError(
-                f"{path}: row {r + 1} has {len(values)} columns, expected {width}"
+                f"{path}: {defect} value {cell.strip()!r} at row {r + 1}, column {c + 1}"
             )
-        rows.append(values)
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    return np.array(rows)
+    raise ConfigError(f"{path}: row {r + 1} has {len(cells)} columns, expected {width}")
 
 
 def zscore_columns(a: np.ndarray) -> np.ndarray:
@@ -329,12 +355,11 @@ def save_dataset(
     `standardize` only records whether loaders should z-score them.
     """
     out = Path(out_dir)
+    specs = [ViewSpec(path=f"view_{i}.csv", delimiter=delimiter, dims=m.shape[1])
+             for i, m in enumerate(dataset.views)]
     out.mkdir(parents=True, exist_ok=True)
-    specs = []
-    for i, m in enumerate(dataset.views):
-        fname = f"view_{i}.csv"
-        write_matrix(out / fname, m, delimiter=delimiter)
-        specs.append(ViewSpec(path=fname, delimiter=delimiter, dims=m.shape[1]))
+    for spec, m in zip(specs, dataset.views):
+        write_matrix(out / spec.path, m, delimiter=delimiter)
     labels_path = None
     if labels is not None:
         labels_path = "labels.txt"

@@ -57,8 +57,11 @@ class RunConfig:
             raise ConfigError("at least one evaluation seed is required")
         if any(seed < 0 for seed in self.eval_seeds):
             raise ConfigError(f"eval_seeds must be non-negative, got {self.eval_seeds}")
-        if self.l_grid is not None and any(l < 1 for l in self.l_grid):
-            raise ConfigError(f"l_grid entries must be positive, got {self.l_grid}")
+        if self.l_grid is not None:
+            if not self.l_grid or len(set(self.l_grid)) != len(self.l_grid):
+                raise ConfigError(f"l_grid must be nonempty and distinct, got {self.l_grid}")
+            if any(l < 1 for l in self.l_grid):
+                raise ConfigError(f"l_grid entries must be positive, got {self.l_grid}")
 
 
 @contextmanager
@@ -229,8 +232,13 @@ def run_grid(
     loaded. The dataset is then loaded and its view graphs built once for
     all points, which run in a process pool when jobs > 1. The summary
     reports every point and the best by mean clustering accuracy (ties
-    keep the earliest point in grid order).
+    keep the earliest point in grid order). An empty `values` or a `jobs`
+    below 1 is a ConfigError.
     """
+    if not values:
+        raise ConfigError("grid values must not be empty")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     names = {}
     configs = []
     for point in itertools.product(values, values, values):

@@ -391,3 +391,55 @@ def test_manifest_json_holds_exactly_the_manifest_fields(dataset_dir):
     manifest = json.loads((dataset_dir / "manifest.json").read_text())
     assert sorted(manifest) == ["labels_path", "n", "name", "schema_version",
                                 "standardize", "views"]
+
+
+@pytest.mark.parametrize("view, field, value", [
+    (True, "path", 5),
+    (False, "labels_path", 5),
+    (True, "delimiter", 5),
+    (True, "has_header", "yes"),
+    (False, "standardize", "no"),
+    (True, "dims", "8"),
+    (False, "n", True),
+])
+def test_manifest_field_of_the_wrong_type_exits_2(view, field, value, dataset_dir,
+                                                  tmp_path, capsys):
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    (manifest["views"][0] if view else manifest)[field] = value
+    (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["fit", str(dataset_dir / "manifest.json"), "--clusters", "3",
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: manifest field '{field}' must be " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("delimiter", ["", "\n", "\x0b", "5", ".", "-", ";E"])
+def test_generate_with_a_delimiter_that_cannot_split_back_exits_2(delimiter, tmp_path,
+                                                                 capsys):
+    code = main(["generate", "--clusters", "3", "--n-per-cluster", "5",
+                 "--views", "6:0.5:0.5", f"--delimiter={delimiter}",
+                 "--output-dir", str(tmp_path / "data")])
+    assert code == 2
+    assert f"error: delimiter {delimiter!r} must be nonempty" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("verb, flags, message", [
+    ("grid", ["--jobs", "0"], "jobs must be at least 1, got 0"),
+    ("grid", ["--grid-values", ","], "grid values must not be empty"),
+    ("evaluate", ["--l-grid", ","], "l_grid must be nonempty and distinct"),
+    ("evaluate", ["--l-grid", "5,5"], "l_grid must be nonempty and distinct"),
+])
+def test_empty_lists_repeated_counts_and_jobs_below_one_exit_2_before_loading(
+    verb, flags, message, dataset_dir, tmp_path, monkeypatch, capsys
+):
+    def no_load(*args):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr("acsl.experiment._load_problem", no_load)
+    code = main([verb, str(dataset_dir / "manifest.json"), "--clusters", "3", *flags,
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

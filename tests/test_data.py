@@ -169,12 +169,18 @@ def test_written_matrix_reloads_bitwise(tmp_path):
 
 
 def test_successful_parse_makes_no_per_cell_pass(tmp_path, monkeypatch):
-    def per_cell(*args):
-        raise AssertionError("per-cell parse ran on a valid file")
+    # A valid file is read in one pass: each data line is split exactly once.
+    split = []
+    cells = acsl.data._cells
 
-    monkeypatch.setattr(acsl.data, "_parse_cells", per_cell)
-    text, delimiter, has_header = PARSE_CASES[0]
+    def counted(line, delimiter):
+        split.append(line)
+        return cells(line, delimiter)
+
+    monkeypatch.setattr(acsl.data, "_cells", counted)
+    text, delimiter, has_header = PARSE_CASES[3]
     assert _load_raw(tmp_path, text, delimiter, has_header).shape == (2, 3)
+    assert split == ["1;2;3", "4;5;6"]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -185,6 +191,8 @@ def test_successful_parse_makes_no_per_cell_pass(tmp_path, monkeypatch):
     ("1,2\n3, oops \n", "non-numeric value 'oops' at row 2, column 2"),
     ("1,nan\n3,4\n", "non-finite value 'nan' at row 1, column 2"),
     ("1,2\n1e400,4\n", "non-finite value '1e400' at row 2, column 1"),
+    ("1,nan\n3,x\n", "non-finite value 'nan' at row 1, column 2"),
+    ("1,2\n3,inf,x\n", "non-finite value 'inf' at row 2, column 2"),
     ("\n  \n", "no data rows"),
 ])
 def test_parse_errors_name_the_cell(tmp_path, text, message):
@@ -307,3 +315,11 @@ def test_manifest_schema_version_must_be_the_integer_one(tmp_path, version):
     # Each of these equals 1 or looks like it; only the JSON integer 1 passes.
     with pytest.raises(ConfigError, match=f"schema_version {version!r}"):
         DatasetManifest.from_file(_manifest_file(tmp_path, schema_version=version))
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", ", ", " ", "\t", "|"])
+def test_every_accepted_delimiter_reloads_bitwise(tmp_path, delimiter):
+    ds, _ = generate_synthetic(3, 2, [(4, 0.5, 0.5)], seed=2)
+    manifest_path = save_dataset(ds, tmp_path / "out", delimiter=delimiter, standardize=False)
+    reloaded = load_dataset(DatasetManifest.from_file(manifest_path))
+    assert reloaded.views[0].tobytes() == ds.views[0].tobytes()

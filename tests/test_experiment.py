@@ -239,3 +239,22 @@ def test_results_json_is_versioned(synthetic_manifest, tmp_path):
     assert "diagnostics" in payload
     assert "negative_weight_fraction" in payload["diagnostics"]
     assert "s_diagonal_mass" in payload["diagnostics"]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"values": ()}, "grid values must not be empty"),
+    ({"jobs": 0}, "jobs must be at least 1, got 0"),
+    ({"jobs": -2}, "jobs must be at least 1, got -2"),
+])
+def test_grid_rejects_no_values_or_jobs_below_one_before_loading(
+    synthetic_manifest, tmp_path, monkeypatch, kwargs, message
+):
+    import acsl.experiment as experiment
+
+    def no_load(*args):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr(experiment, "_load_problem", no_load)
+    with pytest.raises(ConfigError, match=message):
+        run_grid(synthetic_manifest, quick_config(tmp_path / "grid"), **kwargs)
+    assert not (tmp_path / "grid").exists()
