@@ -57,6 +57,8 @@ class RunConfig:
             raise ConfigError("at least one evaluation seed is required")
         if any(seed < 0 for seed in self.eval_seeds):
             raise ConfigError(f"eval_seeds must be non-negative, got {self.eval_seeds}")
+        if len(set(self.eval_seeds)) != len(self.eval_seeds):
+            raise ConfigError(f"eval_seeds must be distinct, got {self.eval_seeds}")
         if self.l_grid is not None:
             if not self.l_grid or len(set(self.l_grid)) != len(self.l_grid):
                 raise ConfigError(f"l_grid must be nonempty and distinct, got {self.l_grid}")

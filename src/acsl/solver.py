@@ -162,18 +162,9 @@ def _dual_gram(
     return _finite(k, "K"), root, y
 
 
-def _row_norms(p: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(p * p, axis=1))
-
-
-def _smoothed_row_norms(p: np.ndarray, epsilon: float) -> np.ndarray:
-    """sqrt(||p_i||^2 + epsilon) per feature row."""
-    return np.sqrt(np.sum(p * p, axis=1) + epsilon)
-
-
 def _reweighting_of(p: np.ndarray, epsilon: float) -> np.ndarray:
     """Diagonal weights 1 / (2 sqrt(||p_i||^2 + epsilon)) per feature row."""
-    return 1.0 / (2.0 * _smoothed_row_norms(p, epsilon))
+    return 1.0 / (2.0 * np.sqrt(np.sum(p * p, axis=1) + epsilon))
 
 
 @np.errstate(all="ignore")
@@ -348,7 +339,7 @@ def objective(
     spectral = float(np.sum(state.f * (lap @ state.f)))
     resid_f = x @ state.p - state.f
     fit = float(np.sum(resid_f * resid_f))
-    sparsity = float(_row_norms(state.p).sum())
+    sparsity = float(np.sqrt(np.sum(state.p * state.p, axis=1)).sum())
     return fusion + hp.alpha * spectral + hp.beta * (fit + hp.gamma * sparsity)
 
 
@@ -372,10 +363,20 @@ def initialize(
     state = SolverState(p=np.zeros((d, hp.k)), f=np.zeros((n, hp.k)), s=s,
                         w=w, gamma_diag=gamma_diag)
     state.f, state.p = update_f(state, x, hp)
-    state.objective_trace.append(objective(state, views, x, hp))
-    state.components_trace.append(connected_components(s))
-    state.alpha_trace.append(hp.alpha)
+    _record(state, views, x, hp)
     return state
+
+
+def _record(
+    state: SolverState, views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams
+) -> int:
+    """Append the state's trace row and return its component count."""
+    state.objective_trace.append(objective(state, views, x, hp))
+    comps = connected_components(state.s)
+    state.components_trace.append(comps)
+    state.alpha_trace.append(hp.alpha)
+    state.iteration = len(state.objective_trace) - 1
+    return comps
 
 
 def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverState:
@@ -417,23 +418,12 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
             state.w = update_w(state, views)
         except NumericError as exc:
             raise NumericError(f"outer iteration {it}: {exc}") from exc
-        state.iteration = it
-
-        value = objective(state, views, x, current)
-        comps = connected_components(state.s)
-        state.objective_trace.append(value)
-        state.components_trace.append(comps)
-        state.alpha_trace.append(current.alpha)
-
-        alpha_changed = False
+        comps = _record(state, views, x, current)
         if hp.adaptive_alpha and comps != hp.k:
-            factor = 2.0 if comps < hp.k else 0.5
-            current = replace(current, alpha=current.alpha * factor)
-            alpha_changed = True
-
-        prev = state.objective_trace[-2]
-        rel = abs(prev - value) / max(abs(prev), 1e-30)
-        if rel < hp.tol_rel_objective and not alpha_changed:
+            current = replace(current, alpha=current.alpha * (2.0 if comps < hp.k else 0.5))
+            continue
+        prev, value = state.objective_trace[-2:]
+        if abs(prev - value) / max(abs(prev), 1e-30) < hp.tol_rel_objective:
             state.converged = True
             break
     return state

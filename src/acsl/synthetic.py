@@ -40,6 +40,8 @@ def generate_synthetic(
         raise ConfigError("n_per_cluster and k must be positive")
     if not views:
         raise ConfigError("at least one view description is required")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     n = n_per_cluster * k
     labels = np.repeat(np.arange(k), n_per_cluster)

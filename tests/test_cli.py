@@ -425,11 +425,21 @@ def test_generate_with_a_delimiter_that_cannot_split_back_exits_2(delimiter, tmp
     assert not (tmp_path / "data").exists()
 
 
+def test_generate_with_a_negative_seed_exits_2(tmp_path, capsys):
+    code = main(["generate", "--clusters", "3", "--n-per-cluster", "5",
+                 "--views", "5:1:0.5", "--seed", "-1", "--output-dir", str(tmp_path / "data")])
+    assert code == 2
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("verb, flags, message", [
     ("grid", ["--jobs", "0"], "jobs must be at least 1, got 0"),
     ("grid", ["--grid-values", ","], "grid values must not be empty"),
     ("evaluate", ["--l-grid", ","], "l_grid must be nonempty and distinct"),
     ("evaluate", ["--l-grid", "5,5"], "l_grid must be nonempty and distinct"),
+    ("evaluate", ["--eval-seeds", "0,0"], "eval_seeds must be distinct"),
+    ("grid", ["--eval-seeds", "0,0"], "eval_seeds must be distinct"),
 ])
 def test_empty_lists_repeated_counts_and_jobs_below_one_exit_2_before_loading(
     verb, flags, message, dataset_dir, tmp_path, monkeypatch, capsys

@@ -216,6 +216,11 @@ def test_run_config_rejects_negative_eval_seeds(tmp_path):
         quick_config(tmp_path, eval_seeds=(0, -1))
 
 
+def test_run_config_rejects_repeated_eval_seeds(tmp_path):
+    with pytest.raises(ConfigError, match="eval_seeds must be distinct"):
+        quick_config(tmp_path, eval_seeds=(0, 1, 0))
+
+
 def test_grid_parallel_matches_serial(synthetic_manifest, tmp_path):
     config_s = quick_config(
         tmp_path / "gs", hyperparams=Hyperparams(k=3, max_outer_iters=4),

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import itertools
 
 import numpy as np
@@ -700,6 +701,24 @@ def test_fit_nonconvergence_sets_flag_without_raising():
     state = fit(graphs, x, hp)
     assert state.iteration == 2
     assert not state.converged
+
+
+@pytest.mark.parametrize("offset, factor", [(-1, 2.0), (1, 0.5)])
+def test_fit_never_converges_on_an_iteration_that_changes_alpha(offset, factor, monkeypatch):
+    # With tol_rel_objective = 1e300 every iteration that keeps alpha would
+    # converge, so only the schedule keeps the fit going to its cap.
+    monkeypatch.setattr(solver, "connected_components", lambda s: 3 + offset)
+    graphs, x, labels, hp = blob_problem(51, tol_rel_objective=1e300, max_outer_iters=5,
+                                         adaptive_alpha=True)
+    state = fit(graphs, x, hp)
+    assert state.converged is False
+    assert state.iteration == 5
+    assert state.alpha_trace == [1.0] + [factor ** i for i in range(5)]
+    assert len(state.objective_trace) == len(state.components_trace) == 6
+
+    state = fit(graphs, x, replace(hp, adaptive_alpha=False))
+    assert state.converged is True
+    assert state.iteration == 1
 
 
 def test_fit_converges_to_fixed_point_on_single_view():
