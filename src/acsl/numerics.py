@@ -118,20 +118,15 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 def project_simplex_columns(m: np.ndarray) -> np.ndarray:
     """Project every column of a matrix onto the probability simplex.
 
-    Vectorized version of :func:`project_simplex`; columns are independent.
+    A column u, sorted descending, maps to max(u - theta, 0) with theta the running
+    maximum max_r (u_1 + ... + u_r - 1) / r (Duchi et al. 2008; Condat 2016).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] == 0:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    n = m.shape[0]
-    u = -np.sort(-m, axis=0)
-    css = np.cumsum(u, axis=0)
-    counts = np.arange(1, n + 1)[:, None]
-    positive = u - (css - 1.0) / counts > 0
-    # Last True row per column; the first row is always True.
-    support = n - 1 - np.argmax(positive[::-1, :], axis=0)
-    cols = np.arange(m.shape[1])
-    theta = (css[support, cols] - 1.0) / (support + 1.0)
-    return np.maximum(m - theta[None, :], 0.0)
+    u = np.sort(m, axis=0)[::-1]
+    counts = np.arange(1, m.shape[0] + 1)[:, None]
+    theta = ((np.cumsum(u, axis=0) - 1.0) / counts).max(axis=0)
+    return np.maximum(m - theta, 0.0)

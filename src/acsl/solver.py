@@ -263,6 +263,7 @@ def update_f(
     return f, project(f)
 
 
+@np.errstate(all="ignore")
 def update_s(
     state: SolverState, views: list[AffinityGraph], hp: Hyperparams
 ) -> AffinityGraph:
@@ -278,10 +279,18 @@ def update_s(
     Completing the square, this is ||s_j - (b_j - (alpha / 4) a_j)||^2 plus
     a constant, so its minimizer on the simplex is the Euclidean projection
     of b_j - (alpha / 4) a_j.
+
+    Raises NumericError when alpha is so large that the shifted columns
+    overflow or their projection misses the simplex in float64: (alpha / 4)
+    times the round-off in a_jj (about 1e34 on the README data) swamps the
+    simplex's sum of 1.
     """
     fused = _fused_columns(views, state.w)
     shift = squared_distances(state.f, state.f)
-    return AffinityGraph(project_simplex_columns(fused - 0.25 * hp.alpha * shift))
+    try:
+        return AffinityGraph(project_simplex_columns(fused - 0.25 * hp.alpha * shift))
+    except ValueError as exc:
+        raise NumericError(f"S leaves the simplex at alpha {hp.alpha:g}: {exc}") from exc
 
 
 def update_w(state: SolverState, views: list[AffinityGraph]) -> np.ndarray:
@@ -305,7 +314,8 @@ def update_w(state: SolverState, views: list[AffinityGraph]) -> np.ndarray:
     raise.
     """
     s = state.s.matrix
-    b = s[None, :, :] - np.stack([g.matrix for g in views])  # (V, n, n)
+    b = np.stack([g.matrix for g in views])  # (V, n, n)
+    np.subtract(s, b, out=b)  # b_v = s - S^v in place: one (V, n, n) array, not two
     grams = np.einsum("vij,uij->jvu", b, b)  # (n, V, V), one Gram per column
     v = grams.shape[1]
     grams[(grams == grams[:, :1, :1]).all(axis=(1, 2))] = np.eye(v)  # G_j = c 11^T

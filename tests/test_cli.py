@@ -141,6 +141,17 @@ def test_weight_that_overflows_exits_3_in_the_fitting_stage(flag, dataset_dir, t
     assert "numeric failure: fitting: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1e40", "5e307"])
+def test_alpha_too_large_for_the_simplex_exits_3_in_the_fitting_stage(alpha, dataset_dir,
+                                                                      tmp_path, capsys):
+    code = main(["fit", str(dataset_dir / "manifest.json"), "--clusters", "3",
+                 "--alpha", alpha, "--output-dir", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numeric failure: fitting: outer iteration 1: S leaves the simplex")
+
+
 @pytest.mark.parametrize("noise", ["nan", "inf"])
 def test_non_finite_noise_level_exits_2_before_writing(noise, tmp_path, capsys):
     code = main(["generate", "--clusters", "3", "--n-per-cluster", "5",

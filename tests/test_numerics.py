@@ -144,83 +144,128 @@ def test_solve_spd_shape_mismatch():
 
 # ---------------------------------------------------------- simplex projection
 
+def _one_column(v):
+    """project_simplex_columns, the kernel the solver calls, on one column."""
+    return project_simplex_columns(np.asarray(v, dtype=float)[:, None])[:, 0]
+
+
+# Every oracle below checks the 1-d reference and the solver's kernel on the
+# same draws; the two find the threshold by different rules.
+PROJECTIONS = (project_simplex, _one_column)
+
+
 def test_project_simplex_fixed_point_on_simplex():
-    assert np.allclose(project_simplex(np.array([0.5, 0.5])), [0.5, 0.5], atol=1e-15)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        p = rng.dirichlet(np.ones(6))
-        assert np.allclose(project_simplex(p), p, atol=1e-12)
+    for project in PROJECTIONS:
+        assert np.allclose(project(np.array([0.5, 0.5])), [0.5, 0.5], atol=1e-15)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(6))
+            assert np.allclose(project(p), p, atol=1e-12)
 
 
 def test_project_simplex_clips_to_vertex():
-    assert np.allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-12)
+    for project in PROJECTIONS:
+        assert np.allclose(project(np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-12)
 
 
 def test_project_simplex_feasibility():
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        v = rng.normal(scale=3.0, size=int(rng.integers(1, 12)))
-        x = project_simplex(v)
-        assert x.min() >= 0.0
-        assert abs(x.sum() - 1.0) <= 1e-9
+    for project in PROJECTIONS:
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            v = rng.normal(scale=3.0, size=int(rng.integers(1, 12)))
+            x = project(v)
+            assert x.min() >= 0.0
+            assert abs(x.sum() - 1.0) <= 1e-9
 
 
 def test_project_simplex_matches_qp_oracle():
     # Generic constrained QP solver as an independent oracle.
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        n = int(rng.integers(2, 8))
-        v = rng.normal(scale=2.0, size=n)
-        x = project_simplex(v)
-        res = minimize(
-            lambda z: np.sum((z - v) ** 2),
-            np.full(n, 1.0 / n),
-            jac=lambda z: 2.0 * (z - v),
-            method="SLSQP",
-            bounds=[(0.0, None)] * n,
-            constraints=[{"type": "eq", "fun": lambda z: z.sum() - 1.0}],
-            options={"ftol": 1e-12, "maxiter": 200},
-        )
-        assert res.success
-        assert np.sum((x - v) ** 2) <= np.sum((res.x - v) ** 2) + 1e-9
-        assert np.allclose(x, res.x, atol=1e-4)
+    for project in PROJECTIONS:
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            n = int(rng.integers(2, 8))
+            v = rng.normal(scale=2.0, size=n)
+            x = project(v)
+            res = minimize(
+                lambda z: np.sum((z - v) ** 2),
+                np.full(n, 1.0 / n),
+                jac=lambda z: 2.0 * (z - v),
+                method="SLSQP",
+                bounds=[(0.0, None)] * n,
+                constraints=[{"type": "eq", "fun": lambda z: z.sum() - 1.0}],
+                options={"ftol": 1e-12, "maxiter": 200},
+            )
+            assert res.success
+            assert np.sum((x - v) ** 2) <= np.sum((res.x - v) ** 2) + 1e-9
+            assert np.allclose(x, res.x, atol=1e-4)
 
 
 def test_project_simplex_matches_threshold_grid_search():
     # 1-d grid over the shift threshold: candidates max(v - t, 0) with the
     # best feasible t must agree with the exact projection within the grid
     # resolution.
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        v = rng.normal(scale=1.5, size=5)
-        x = project_simplex(v)
-        grid = np.arange(v.min() - 0.2 - 1.0 / 5, v.max() + 1e-9, 1e-3)
-        cands = np.maximum(v[None, :] - grid[:, None], 0.0)
-        best = cands[np.abs(cands.sum(axis=1) - 1.0).argmin()]
-        assert np.abs(x - best).max() <= 5e-3
+    for project in PROJECTIONS:
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            v = rng.normal(scale=1.5, size=5)
+            x = project(v)
+            grid = np.arange(v.min() - 0.2 - 1.0 / 5, v.max() + 1e-9, 1e-3)
+            cands = np.maximum(v[None, :] - grid[:, None], 0.0)
+            best = cands[np.abs(cands.sum(axis=1) - 1.0).argmin()]
+            assert np.abs(x - best).max() <= 5e-3
 
 
 def test_project_simplex_dominates_random_simplex_points():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        v = rng.normal(scale=2.0, size=7)
-        x = project_simplex(v)
-        dist = np.linalg.norm(x - v)
-        for _ in range(100):
-            g = rng.dirichlet(np.ones(7))
-            assert dist <= np.linalg.norm(g - v) + 1e-6
+    for project in PROJECTIONS:
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            v = rng.normal(scale=2.0, size=7)
+            x = project(v)
+            dist = np.linalg.norm(x - v)
+            for _ in range(100):
+                g = rng.dirichlet(np.ones(7))
+                assert dist <= np.linalg.norm(g - v) + 1e-6
 
 
 def test_project_simplex_rejects_bad_input():
-    with pytest.raises(ValueError):
-        project_simplex(np.array([]))
-    with pytest.raises(ValueError):
-        project_simplex(np.array([1.0, np.inf]))
+    for project in PROJECTIONS:
+        with pytest.raises(ValueError):
+            project(np.array([]))
+        with pytest.raises(ValueError):
+            project(np.array([1.0, np.inf]))
+
+
+def _dirichlet_with_zeros(rng, shape):
+    """Columns on the simplex, about half of their entries exactly zero."""
+    keep = rng.random(shape) < 0.5
+    keep[rng.integers(shape[0], size=shape[1]), np.arange(shape[1])] = True
+    m = np.where(keep, rng.dirichlet(np.ones(shape[0]), size=shape[1]).T, 0.0)
+    return m / m.sum(axis=0)
+
+
+SIMPLEX_INPUTS = {
+    "normal": lambda rng, shape: rng.normal(scale=2.0, size=shape),
+    "dirichlet": lambda rng, shape: rng.dirichlet(np.ones(shape[0]), size=shape[1]).T,
+    "dirichlet-zeros": _dirichlet_with_zeros,
+    "integer-ties": lambda rng, shape: rng.integers(-2, 3, size=shape).astype(float),
+    "signed-zeros": lambda rng, shape: rng.choice([-0.0, 0.0, 0.5, 1.0], size=shape),
+    "tiny": lambda rng, shape: 1e-300 * rng.normal(size=shape),
+    "huge": lambda rng, shape: 1e15 * rng.normal(size=shape),
+    "constant": lambda rng, shape: np.tile(rng.normal(scale=2.0, size=shape[1]),
+                                           (shape[0], 1)),
+}
 
 
 def test_project_simplex_columns_matches_vector_version():
+    # Bit for bit, sign bits included: the kernel's running maximum picks the
+    # same threshold as the reference's support search.
     rng = np.random.default_rng(10)
-    m = rng.normal(scale=2.0, size=(9, 14))
-    cols = project_simplex_columns(m)
-    for j in range(m.shape[1]):
-        assert np.allclose(cols[:, j], project_simplex(m[:, j]), atol=1e-12)
+    for draw in SIMPLEX_INPUTS.values():
+        for n in (1, 2, 7, 60):
+            for _ in range(5):
+                m = draw(rng, (n, 14))
+                cols = project_simplex_columns(m)
+                for j in range(m.shape[1]):
+                    ref = project_simplex(m[:, j])
+                    assert np.array_equal(cols[:, j], ref)
+                    assert np.array_equal(np.signbit(cols[:, j]), np.signbit(ref))

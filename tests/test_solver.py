@@ -68,6 +68,17 @@ def test_weights_that_overflow_the_solver_are_a_numeric_error(name, value, shape
         fit(graphs, x, hp)
 
 
+@pytest.mark.parametrize("alpha", [1e40, 1e300, 5e307])
+def test_alpha_too_large_for_the_simplex_is_a_numeric_error(alpha):
+    # (alpha / 4) times the round-off in the diagonal indicator distances
+    # swamps the simplex's sum of 1 (or overflows): update_s raises
+    # NumericError, with no warning on the way (the suite turns warnings
+    # into errors).
+    graphs, x, _, hp = blob_problem(3, alpha=alpha)
+    with pytest.raises(NumericError, match="outer iteration 1: S leaves the simplex at alpha"):
+        fit(graphs, x, hp)
+
+
 # -------------------------------------------------------------- initialize
 
 def test_initialize_single_view_keeps_graph():
