@@ -202,8 +202,7 @@ def _grid_point_name(alpha: float, beta: float, gamma: float) -> str:
     return f"grid_a{alpha:g}_b{beta:g}_g{gamma:g}"
 
 
-def _grid_point(args) -> dict:
-    problem, config = args
+def _grid_point(problem, config: RunConfig) -> dict:
     payload = _run_problem(problem, config)
     best_acc = max(
         (s["acc_mean"] for s in payload["selections"] if s["acc_mean"] is not None),
@@ -220,6 +219,19 @@ def _grid_point(args) -> dict:
     }
 
 
+# The problem a grid worker process fits, handed over once when it starts.
+_worker_problem = None
+
+
+def _start_worker(problem) -> None:
+    global _worker_problem
+    _worker_problem = problem
+
+
+def _worker_grid_point(config: RunConfig) -> dict:
+    return _grid_point(_worker_problem, config)
+
+
 def run_grid(
     manifest: DatasetManifest,
     config: RunConfig,
@@ -232,9 +244,10 @@ def run_grid(
     significant digits. Points that would share a name, or whose
     hyperparameters are invalid, are a ConfigError before the data is
     loaded. The dataset is then loaded and its view graphs built once for
-    all points, which run in a process pool when jobs > 1. The summary
-    reports every point and the best by mean clustering accuracy (ties
-    keep the earliest point in grid order). An empty `values` or a `jobs`
+    all points, which run in a process pool when jobs > 1: each worker
+    receives the problem once, when it starts, and then one point per task.
+    The summary reports every point and the best by mean clustering
+    accuracy (ties keep the earliest point in grid order). An empty `values` or a `jobs`
     below 1 is a ConfigError.
     """
     if not values:
@@ -259,12 +272,12 @@ def run_grid(
     problem = _load_problem(manifest, config.k_neighbors)
     if problem[1] is None:
         raise ConfigError("grid mode needs labels to rank configurations by accuracy")
-    combos = [(problem, c) for c in configs]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_grid_point, combos))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                                 initargs=(problem,)) as pool:
+            points = list(pool.map(_worker_grid_point, configs))
     else:
-        points = [_grid_point(c) for c in combos]
+        points = [_grid_point(problem, c) for c in configs]
 
     best = max(
         (p for p in points if p["best_acc_mean"] is not None),

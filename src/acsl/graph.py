@@ -3,9 +3,14 @@
 A similarity structure is an ``AffinityGraph``, stored column-stochastically:
 column j holds the affinities of every sample to sample j and lies on the
 probability simplex. Its Laplacian is a plain n x n array.
+
+The arrays derived from a graph, its Laplacian and its support, are
+computed on first use and cached on the instance, read-only. So a graph's
+``matrix`` must not be changed after construction.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -45,9 +50,33 @@ class AffinityGraph:
             raise ValueError(f"columns must sum to 1, worst deviation {worst:.3e}")
         object.__setattr__(self, "matrix", m)
 
+    def __getstate__(self) -> dict:
+        return {"matrix": self.matrix}
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the nonzero entries, in row-major order:
+        k per column for a kNN view graph."""
+        rows, cols = np.nonzero(self.matrix)
+        return _read_only(rows), _read_only(cols), _read_only(self.matrix[rows, cols])
+
+    @cached_property
+    def _laplacian(self) -> np.ndarray:
+        lap = self.matrix + self.matrix.T
+        lap *= 0.5
+        degree = lap.sum(axis=1)
+        np.subtract(0.0, lap, out=lap)  # 0 - a_ij, as diag(degree) - A has it
+        lap[np.diag_indices_from(lap)] += degree
+        return _read_only(lap)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
@@ -108,17 +137,25 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
 
 def laplacian_of(s: AffinityGraph) -> np.ndarray:
     """Laplacian D - A of the symmetrized weights A = (S + S^T)/2, with
-    D = diag(row sums of A): symmetric PSD, zero row sums up to round-off."""
-    a = 0.5 * (s.matrix + s.matrix.T)
-    return np.diag(a.sum(axis=1)) - a
+    D = diag(row sums of A): exactly symmetric, PSD, zero row sums up to
+    round-off. Formed once per graph and cached on it, read-only."""
+    return s._laplacian
 
 
 def connected_components(s: AffinityGraph) -> int:
     """Number of connected components of the thresholded undirected graph.
 
     Samples i and j are adjacent iff (S_ij + S_ji)/2 > COMPONENT_EDGE_THRESHOLD;
-    the count is found by graph traversal.
+    the count is found by graph traversal. Off the diagonal that weight is
+    exactly -L_ij of the cached Laplacian, so the adjacency is read off it
+    in CSR form without a dense conversion. L is exactly symmetric, so the
+    strong components of that directed graph are the undirected ones, found
+    without scipy's symmetrizing copy.
     """
-    adjacency = 0.5 * (s.matrix + s.matrix.T) > COMPONENT_EDGE_THRESHOLD
-    count, _ = csgraph.connected_components(csr_matrix(adjacency), directed=False)
+    n = s.n
+    edges = np.flatnonzero(laplacian_of(s) < -COMPONENT_EDGE_THRESHOLD)
+    indptr = np.searchsorted(edges, np.arange(0, n * n + 1, n))
+    adjacency = csr_matrix((np.ones(edges.size, dtype=np.int8), edges % n, indptr),
+                           shape=(n, n))
+    count, _ = csgraph.connected_components(adjacency, directed=True, connection="strong")
     return int(count)

@@ -54,7 +54,10 @@ def smallest_k_eigen(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    vals, vecs = linalg.eigh(m, subset_by_index=(0, k - 1), check_finite=False)
+    # m is an exactly symmetric copy owned here: its transpose, the same
+    # matrix in Fortran order, is factored in place.
+    vals, vecs = linalg.eigh(m.T, subset_by_index=(0, k - 1), overwrite_a=True,
+                             check_finite=False)
     pivot = np.abs(vecs).argmax(axis=0)
     signs = np.sign(vecs[pivot, np.arange(k)])
     signs[signs == 0] = 1.0
@@ -110,7 +113,10 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     counts = np.arange(1, v.size + 1)
-    support = np.nonzero(u - (css - 1.0) / counts > 0)[0][-1]
+    positive = np.nonzero(u - (css - 1.0) / counts > 0)[0]
+    if positive.size == 0:
+        raise ValueError("no entry lies above the simplex threshold in float64")
+    support = positive[-1]
     theta = (css[support] - 1.0) / (support + 1.0)
     return np.maximum(v - theta, 0.0)
 
@@ -120,13 +126,22 @@ def project_simplex_columns(m: np.ndarray) -> np.ndarray:
 
     A column u, sorted descending, maps to max(u - theta, 0) with theta the running
     maximum max_r (u_1 + ... + u_r - 1) / r (Duchi et al. 2008; Condat 2016).
+    In exact arithmetic theta < u_1; a column whose largest entry does not
+    exceed theta in float64 (|u| >= 2^53) would map off the simplex and
+    raises ValueError.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] == 0:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    u = np.sort(m, axis=0)[::-1]
-    counts = np.arange(1, m.shape[0] + 1)[:, None]
-    theta = ((np.cumsum(u, axis=0) - 1.0) / counts).max(axis=0)
-    return np.maximum(m - theta, 0.0)
+    u = m.T.copy()  # one column per row, contiguous, sorted along the rows
+    u.sort(axis=1)
+    u = u[:, ::-1]
+    theta = ((np.cumsum(u, axis=1) - 1.0) / np.arange(1.0, m.shape[0] + 1)).max(axis=1)
+    empty = np.flatnonzero(u[:, 0] <= theta)
+    if empty.size:
+        raise ValueError(f"column {empty[0]} has no entry above the simplex threshold "
+                         "in float64")
+    out = m - theta
+    return np.maximum(out, 0.0, out=out)

@@ -119,11 +119,27 @@ def _check_problem(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -
 
 
 def _fused_columns(views: list[AffinityGraph], w: np.ndarray) -> np.ndarray:
-    """Column j of the result is sum_v w[v, j] * views[v][:, j]."""
+    """Column j of the result is sum_v w[v, j] * views[v][:, j].
+
+    Each view adds its products on its support only, in view order: O(V n k)
+    for kNN views. Off the supports the dense sum adds only zeros to +0.
+    """
     fused = np.zeros_like(views[0].matrix)
     for v, g in enumerate(views):
-        fused += g.matrix * w[v][None, :]
+        rows, cols, values = g.support
+        fused[rows, cols] += values * w[v, cols]
     return fused
+
+
+def _view_differences(s: np.ndarray, views: list[AffinityGraph]) -> np.ndarray:
+    """The (V, n, n) stack of s - S^v, written from s and each view's support
+    (s - 0 = s off it)."""
+    b = np.empty((len(views),) + s.shape)
+    for b_v, g in zip(b, views):
+        b_v[...] = s
+        rows, cols, values = g.support
+        b_v[rows, cols] -= values
+    return b
 
 
 def _finite(m: np.ndarray, name: str) -> np.ndarray:
@@ -222,20 +238,22 @@ def _embedding_operator(
     Q^{-1} X^T itself, not from the residual X^T C F, whose round-off
     (gamma G)^{-1} would amplify. ``smallest_k_eigen`` symmetrizes the operator.
     """
-    lap = laplacian_of(s)
     n = x.shape[0]
     if _uses_dual_form(x):
         k, root, y = _dual_gram(x, hp.gamma, gamma_diag)
         complement = solve_spd(k, np.eye(n))
         def project(f: np.ndarray) -> np.ndarray:
             return root[:, None] * (y.T @ (complement @ f))
+        operator = hp.beta * complement  # a copy: project keeps complement
     else:
         q = _regularized_gram(x.T @ x, hp.gamma, gamma_diag)
         back = solve_spd(q, x.T)  # Q^{-1} X^T without forming the inverse
-        complement = np.eye(n) - x @ back
         def project(f: np.ndarray) -> np.ndarray:
             return back @ f
-    return _finite(hp.alpha * lap + hp.beta * complement, "embedding operator"), project
+        operator = np.eye(n) - x @ back
+        operator *= hp.beta
+    operator += hp.alpha * laplacian_of(s)
+    return _finite(operator, "embedding operator"), project
 
 
 def update_f(
@@ -285,10 +303,10 @@ def update_s(
     times the round-off in a_jj (about 1e34 on the README data) swamps the
     simplex's sum of 1.
     """
-    fused = _fused_columns(views, state.w)
-    shift = squared_distances(state.f, state.f)
+    shifted = _fused_columns(views, state.w)
+    shifted -= 0.25 * hp.alpha * squared_distances(state.f, state.f)
     try:
-        return AffinityGraph(project_simplex_columns(fused - 0.25 * hp.alpha * shift))
+        return AffinityGraph(project_simplex_columns(shifted))
     except ValueError as exc:
         raise NumericError(f"S leaves the simplex at alpha {hp.alpha:g}: {exc}") from exc
 
@@ -314,8 +332,7 @@ def update_w(state: SolverState, views: list[AffinityGraph]) -> np.ndarray:
     raise.
     """
     s = state.s.matrix
-    b = np.stack([g.matrix for g in views])  # (V, n, n)
-    np.subtract(s, b, out=b)  # b_v = s - S^v in place: one (V, n, n) array, not two
+    b = _view_differences(s, views)
     grams = np.einsum("vij,uij->jvu", b, b)  # (n, V, V), one Gram per column
     v = grams.shape[1]
     grams[(grams == grams[:, :1, :1]).all(axis=(1, 2))] = np.eye(v)  # G_j = c 11^T
@@ -342,9 +359,9 @@ def objective(
     fusion residual + alpha * Tr(F^T L_S F) + beta * (||X P - F||^2
     + gamma * sum of row norms of P).
     """
-    fused = _fused_columns(views, state.w)
-    resid_s = state.s.matrix - fused
-    fusion = float(np.sum(resid_s * resid_s))
+    resid_s = _fused_columns(views, state.w)
+    np.subtract(state.s.matrix, resid_s, out=resid_s)
+    fusion = float(np.sum(np.square(resid_s, out=resid_s)))
     lap = laplacian_of(state.s)
     spectral = float(np.sum(state.f * (lap @ state.f)))
     resid_f = x @ state.p - state.f

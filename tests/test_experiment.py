@@ -189,7 +189,7 @@ def test_grid_points_sharing_a_directory_are_rejected(synthetic_manifest, tmp_pa
                                                       monkeypatch, values):
     import acsl.experiment as experiment
 
-    def no_fit(args):
+    def no_fit(*args):
         raise AssertionError("a grid point ran")
 
     monkeypatch.setattr(experiment, "_grid_point", no_fit)
@@ -235,6 +235,22 @@ def test_grid_parallel_matches_serial(synthetic_manifest, tmp_path):
     a = [{k: v for k, v in p.items() if k != "output_dir"} for p in serial["points"]]
     b = [{k: v for k, v in p.items() if k != "output_dir"} for p in parallel["points"]]
     assert a == b
+
+
+def test_grid_workers_write_the_same_files_as_a_serial_grid(synthetic_manifest, tmp_path):
+    # Workers get the problem once, at start-up; every file they write must
+    # match the serial grid's byte for byte.
+    runs = {}
+    for jobs in (1, 2):
+        config = quick_config(tmp_path / f"jobs{jobs}",
+                              hyperparams=Hyperparams(k=3, max_outer_iters=4),
+                              l_grid=(6,), eval_seeds=(0,))
+        run_grid(synthetic_manifest, config, values=(0.5, 2.0), jobs=jobs)
+        root = tmp_path / f"jobs{jobs}"
+        runs[jobs] = {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+                      if p.is_file()}
+    assert len([p for p in runs[1] if p.name == "results.json"]) == 8
+    assert runs[1] == runs[2]
 
 
 def test_results_json_is_versioned(synthetic_manifest, tmp_path):

@@ -1,8 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
+from scipy.sparse import csgraph, csr_matrix
 
 from acsl.errors import ConfigError
 from acsl.graph import (
+    COMPONENT_EDGE_THRESHOLD,
     AffinityGraph,
     build_view_affinity,
     connected_components,
@@ -180,6 +184,50 @@ def test_laplacian_quadratic_form_identity_oracle():
         assert abs(x @ lap @ x - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
+def _test_graphs(rng):
+    """Dense, zero-diagonal and kNN graphs, all with asymmetric weights."""
+    x = rng.normal(size=(40, 5))
+    return [random_affinity(rng, 9), random_affinity(rng, 30, zero_diag=True),
+            build_view_affinity(x, 6), block_affinity(rng, [4, 1, 6])]
+
+
+def test_laplacian_is_bitwise_the_dense_formula():
+    rng = np.random.default_rng(18)
+    for g in _test_graphs(rng):
+        a = 0.5 * (g.matrix + g.matrix.T)
+        expected = np.diag(a.sum(axis=1)) - a
+        lap = laplacian_of(g)
+        assert np.array_equal(lap, expected)
+        assert np.array_equal(np.signbit(lap), np.signbit(expected))
+
+
+def test_derived_arrays_are_cached_and_read_only():
+    g = build_view_affinity(np.random.default_rng(19).normal(size=(20, 4)), 5)
+    assert laplacian_of(g) is laplacian_of(g)
+    assert g.support is g.support
+    for a in (laplacian_of(g), *g.support):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    rows, cols, values = g.support
+    assert np.array_equal(np.bincount(cols, minlength=g.n), np.full(g.n, 5))
+    dense = np.zeros((g.n, g.n))
+    dense[rows, cols] = values
+    assert np.array_equal(dense, g.matrix)
+
+
+def test_pickled_view_graph_round_trips():
+    g = build_view_affinity(np.random.default_rng(20).normal(size=(20, 4)), 5)
+    lap, support = laplacian_of(g), g.support
+    h = pickle.loads(pickle.dumps(g))
+    assert np.array_equal(h.matrix, g.matrix)
+    assert np.array_equal(laplacian_of(h), lap)
+    assert all(np.array_equal(a, b) for a, b in zip(h.support, support))
+    # Derived arrays are recomputed, not carried over, so they stay read-only.
+    assert not laplacian_of(h).flags.writeable
+    assert not any(a.flags.writeable for a in h.support)
+
+
 # ----------------------------------------------------------------- components
 
 def test_components_block_diagonal():
@@ -212,3 +260,30 @@ def test_components_match_spectral_multiplicity_oracle():
         vals, _ = smallest_k_eigen(lap, g.n)
         spectral = int(np.sum(vals < 1e-7))
         assert connected_components(g) == spectral == n_blocks
+
+
+def _dense_component_count(g):
+    adjacency = 0.5 * (g.matrix + g.matrix.T) > COMPONENT_EDGE_THRESHOLD
+    return csgraph.connected_components(csr_matrix(adjacency), directed=False)[0]
+
+
+def test_components_match_the_dense_threshold_reference():
+    rng = np.random.default_rng(21)
+    for g in _test_graphs(rng):
+        assert connected_components(g) == _dense_component_count(g)
+    # Asymmetric cross-block links whose pair mean straddles the threshold.
+    thr = COMPONENT_EDGE_THRESHOLD
+    counts = set()
+    for _ in range(20):
+        m = block_affinity(rng, [3, 4, 2, 5]).matrix.copy()
+        n = m.shape[0]
+        for _ in range(6):
+            i, j = rng.choice(n, size=2, replace=False)
+            m[i, j] = thr * rng.choice([2.0, 2.0 * (1 + 1e-6), 2.0 * (1 - 1e-6)])
+            m[j, i] = thr * rng.choice([0.0, 1e-6]) if rng.random() < 0.5 else m[j, i]
+        for j in range(n):  # restore the column sums on each column's largest entry
+            m[np.argmax(m[:, j]), j] -= m[:, j].sum() - 1.0
+        g = AffinityGraph(matrix=m)
+        counts.add(connected_components(g))
+        assert connected_components(g) == _dense_component_count(g)
+    assert len(counts) > 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg
 from scipy.optimize import minimize
 
 from acsl.errors import NumericError
@@ -29,6 +30,18 @@ def test_squared_distances_match_the_row_differences():
 
 
 # ---------------------------------------------------------------- eigensolve
+
+def test_smallest_k_eigen_is_bitwise_eigh_and_leaves_its_input_unchanged():
+    rng = np.random.default_rng(42)
+    m = rng.normal(size=(25, 25))
+    before = m.copy()
+    vals, vecs = smallest_k_eigen(m, 4)
+    assert np.array_equal(m, before)
+    ref_vals, ref_vecs = linalg.eigh(0.5 * (m + m.T), subset_by_index=(0, 3),
+                                     check_finite=False)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(np.abs(vecs), np.abs(ref_vecs))
+
 
 def test_smallest_k_eigen_diagonal_single():
     vals, vecs = smallest_k_eigen(np.diag([3.0, 1.0, 2.0]), 1)
@@ -235,6 +248,18 @@ def test_project_simplex_rejects_bad_input():
             project(np.array([1.0, np.inf]))
 
 
+def test_projections_raise_when_no_entry_lies_above_the_threshold():
+    # At |v| >= 2^53, u_1 - (u_1 - 1) / 1 rounds to 0: in float64 no entry
+    # stays positive, and the projection would miss the simplex.
+    with pytest.raises(ValueError, match="simplex threshold"):
+        project_simplex(np.array([-1e20, -1e20]))
+    m = np.array([[0.3, -1e20, 1.0], [0.1, -1e20, 2.0]])
+    with pytest.raises(ValueError, match="column 1 has no entry above"):
+        project_simplex_columns(m)
+    assert np.array_equal(project_simplex_columns(m[:, [0, 2]]),
+                          [[0.6, 0.0], [0.4, 1.0]])
+
+
 def _dirichlet_with_zeros(rng, shape):
     """Columns on the simplex, about half of their entries exactly zero."""
     keep = rng.random(shape) < 0.5
@@ -269,3 +294,24 @@ def test_project_simplex_columns_matches_vector_version():
                     ref = project_simplex(m[:, j])
                     assert np.array_equal(cols[:, j], ref)
                     assert np.array_equal(np.signbit(cols[:, j]), np.signbit(ref))
+
+
+def _sorted_reference(m):
+    """The kernel as a sort down the columns of m."""
+    u = np.sort(m, axis=0)[::-1]
+    counts = np.arange(1, m.shape[0] + 1)[:, None]
+    theta = ((np.cumsum(u, axis=0) - 1.0) / counts).max(axis=0)
+    return np.maximum(m - theta, 0.0)
+
+
+def test_project_simplex_columns_is_bitwise_the_column_sort_and_pure():
+    rng = np.random.default_rng(11)
+    for draw in SIMPLEX_INPUTS.values():
+        for shape in ((1, 6), (7, 1), (7, 14), (60, 14)):
+            m = draw(rng, shape)
+            before = m.copy()
+            cols = project_simplex_columns(m)
+            ref = _sorted_reference(m)
+            assert np.array_equal(cols, ref)
+            assert np.array_equal(np.signbit(cols), np.signbit(ref))
+            assert np.array_equal(m, before) and np.array_equal(np.signbit(m), np.signbit(before))

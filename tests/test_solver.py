@@ -7,14 +7,18 @@ import pytest
 from acsl import solver
 from acsl.errors import ConfigError, NumericError
 from acsl.graph import AffinityGraph, connected_components, laplacian_of
-from acsl.numerics import project_simplex, solve_spd, squared_distances
+from acsl.numerics import project_simplex, project_simplex_columns, solve_spd, squared_distances
 from acsl.solver import (
     Hyperparams,
     SolverState,
+    _dual_gram,
     _embedding_operator,
+    _fused_columns,
+    _regularized_gram,
     _reweighting_of,
     _solve_projection,
     _uses_dual_form,
+    _view_differences,
     fit,
     initialize,
     objective,
@@ -312,6 +316,23 @@ def test_embedding_operator_matches_explicit_formula(n, d):
     expected = 0.5 * (expected + expected.T)
     m, _ = _embedding_operator(state.s, x, state.gamma_diag, hp)
     assert np.linalg.norm(m - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_embedding_operator_is_bitwise_the_out_of_place_sum(n, d):
+    state, x, hp = dense_state(54, n, d)
+    m, project = _embedding_operator(state.s, x, state.gamma_diag, hp)
+    lap = laplacian_of(state.s)
+    if _uses_dual_form(x):
+        k, root, y = _dual_gram(x, hp.gamma, state.gamma_diag)
+        complement = solve_spd(k, np.eye(n))
+        p = root[:, None] * (y.T @ (complement @ state.f))
+    else:
+        back = solve_spd(_regularized_gram(x.T @ x, hp.gamma, state.gamma_diag), x.T)
+        complement = np.eye(n) - x @ back
+        p = back @ state.f
+    assert np.array_equal(m, hp.alpha * lap + hp.beta * complement)
+    assert np.array_equal(project(state.f), p)  # the operator did not overwrite C
 
 
 @pytest.mark.parametrize("n,d", SHAPES)
@@ -639,6 +660,52 @@ def test_objective_zero_projection_fit_term_is_beta_k():
                 + hp.alpha * np.trace(state.f.T @ lap @ state.f)
                 + hp.beta * hp.k)
     assert value == pytest.approx(expected, abs=1e-10)
+
+
+def _view_sets(rng):
+    """kNN view graphs, and fully dense ones, over 30 samples."""
+    graphs, _, _, _ = blob_problem(61, n_per_cluster=10, n_views=3)
+    return [graphs, [random_affinity(rng, 30) for _ in range(3)]]
+
+
+def test_view_sums_are_bitwise_the_dense_sums():
+    rng = np.random.default_rng(62)
+    for views in _view_sets(rng):
+        w = rng.normal(size=(3, 30))
+        w /= w.sum(axis=0)
+        dense = np.zeros((30, 30))
+        for v, g in enumerate(views):
+            dense += g.matrix * w[v][None, :]
+        fused = _fused_columns(views, w)
+        assert np.array_equal(fused, dense)
+        assert np.array_equal(np.signbit(fused), np.signbit(dense))
+        s = random_affinity(rng, 30).matrix
+        stack = np.stack([s - g.matrix for g in views])
+        assert np.array_equal(_view_differences(s, views), stack)
+
+
+def test_update_s_is_bitwise_the_out_of_place_shift():
+    state, graphs, x, hp = random_state(46, alpha=3.0)
+    fused = sum(v.matrix * state.w[i][None, :] for i, v in enumerate(graphs))
+    shifted = fused - 0.25 * hp.alpha * squared_distances(state.f, state.f)
+    assert np.array_equal(update_s(state, graphs, hp).matrix,
+                          project_simplex_columns(shifted))
+
+
+def test_objective_is_bitwise_the_dense_formula():
+    state, graphs, x, hp = random_state(45)
+    state.s = update_s(state, graphs, hp)
+    state.w = update_w(state, graphs)
+    fused = sum(v.matrix * state.w[i][None, :] for i, v in enumerate(graphs))
+    resid_s = state.s.matrix - fused
+    a = 0.5 * (state.s.matrix + state.s.matrix.T)
+    lap = np.diag(a.sum(axis=1)) - a
+    resid_f = x @ state.p - state.f
+    expected = (float(np.sum(resid_s * resid_s))
+                + hp.alpha * float(np.sum(state.f * (lap @ state.f)))
+                + hp.beta * (float(np.sum(resid_f * resid_f))
+                             + hp.gamma * float(np.sqrt(np.sum(state.p * state.p, axis=1)).sum())))
+    assert objective(state, graphs, x, hp) == expected
 
 
 def test_objective_matches_naive_double_loop_oracle():
