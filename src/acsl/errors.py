@@ -13,5 +13,5 @@ class ConfigError(AcslError):
     """Invalid manifest, configuration, or input dimensions."""
 
 
-class NumericError(AcslError):
-    """A numerical operation failed (e.g. a matrix is not positive definite)."""
+class NumericError(AcslError, ValueError):
+    """A numerical operation failed; also a ValueError, as numpy's LinAlgError is."""

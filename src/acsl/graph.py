@@ -29,9 +29,10 @@ class AffinityGraph:
     """One n x n similarity structure with simplex-constrained columns.
 
     matrix[i, j] is the affinity of sample i to sample j. Every column is
-    nonnegative and sums to 1 (within COLUMN_SUM_TOL). Pre-constructed view
-    graphs additionally have a zero diagonal; a learned structure may not.
-    Instances are treated as immutable after construction.
+    nonnegative and sums to 1 (within COLUMN_SUM_TOL), checked in two passes:
+    entries >= 0 (False at a NaN), then the column sums (inf at an inf entry).
+    Pre-constructed view graphs additionally have a zero diagonal; a learned
+    structure may not. Instances are treated as immutable after construction.
     """
 
     matrix: np.ndarray
@@ -40,13 +41,10 @@ class AffinityGraph:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"affinity matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("affinity matrix has non-finite entries")
-        if (m < 0).any():
-            raise ValueError("affinity matrix has negative entries")
-        sums = m.sum(axis=0)
-        worst = np.abs(sums - 1.0).max()
-        if worst > COLUMN_SUM_TOL:
+        if not (m >= 0).all():  # False at a NaN
+            raise ValueError("affinity matrix has negative or NaN entries")
+        worst = np.abs(m.sum(axis=0) - 1.0).max()
+        if not worst <= COLUMN_SUM_TOL:  # an inf entry makes its column sum inf
             raise ValueError(f"columns must sum to 1, worst deviation {worst:.3e}")
         object.__setattr__(self, "matrix", m)
 

@@ -2,8 +2,8 @@
 solves, and exact Euclidean projection onto the probability simplex.
 
 All functions are pure and operate on plain float ndarrays. Square inputs
-are symmetrized on entry, so callers may pass matrices that are symmetric
-only up to round-off.
+are symmetrized on entry, which tolerates round-off asymmetry and is their one
+finiteness check (``symmetrized``: NumericError on a NaN, inf or overflow).
 """
 
 import numpy as np
@@ -25,14 +25,16 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def symmetrized(a: np.ndarray) -> np.ndarray:
     """Return the symmetric part (a + a.T) / 2 of a square matrix.
 
-    Raises ValueError for non-square or non-finite input.
+    Raises ValueError if a is not square, NumericError if the result is not finite.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    return 0.5 * (a + a.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = 0.5 * (a + a.T)
+    if not np.isfinite(sym).all():
+        raise NumericError("matrix has non-finite entries or overflows")
+    return sym
 
 
 def smallest_k_eigen(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

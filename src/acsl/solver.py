@@ -38,6 +38,7 @@ X^T X or K.
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 import math
+import numbers
 
 import numpy as np
 
@@ -69,14 +70,14 @@ class Hyperparams:
     adaptive_alpha: bool = False
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError(f"k must be at least 2, got {self.k}")
+        for name, least in (("k", 2), ("max_outer_iters", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:  # numpy ints too
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("alpha", "beta", "gamma", "epsilon", "tol_rel_objective"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if self.max_outer_iters < 1:
-            raise ConfigError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
 
 
 @dataclass
@@ -113,6 +114,8 @@ def _check_problem(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -
         raise ConfigError(
             f"stacked feature matrix has shape {x.shape}, expected ({n}, d)"
         )
+    if not np.isfinite(x).all():
+        raise ConfigError("stacked feature matrix has non-finite entries")
     if n < hp.k:
         raise ConfigError(f"cannot split {n} samples into {hp.k} clusters")
     return n
@@ -142,19 +145,11 @@ def _view_differences(s: np.ndarray, views: list[AffinityGraph]) -> np.ndarray:
     return b
 
 
-def _finite(m: np.ndarray, name: str) -> np.ndarray:
-    """m, if m and its symmetric part are finite; its callers' callers ignore
-    floating-point warnings (np.errstate), so an overflow surfaces here."""
-    if not np.abs(m).max() <= np.finfo(float).max / 2:  # False on nan
-        raise NumericError(f"{name} overflows at these alpha, beta and gamma")
-    return m
-
-
 def _regularized_gram(gram: np.ndarray, gamma: float, gamma_diag: np.ndarray) -> np.ndarray:
     """Q = X^T X + gamma * diag(gamma_diag) from X^T X, which is left unchanged."""
     q = gram.copy()
     q[np.diag_indices_from(q)] += gamma * gamma_diag
-    return _finite(q, "Q")
+    return q
 
 
 def _uses_dual_form(x: np.ndarray) -> bool:
@@ -171,11 +166,14 @@ def _dual_gram(
     Built as Y Y^T + I with Y = X sqrt(D), a symmetric rank-d product.
     Returns (K, sqrt(diag D), Y).
     """
-    root = 1.0 / np.sqrt(_finite(gamma * gamma_diag, "gamma G"))
+    scaled = gamma * gamma_diag
+    if not np.isfinite(scaled).all():  # an inf would give K = I: finite but wrong
+        raise NumericError("gamma G overflows at these alpha, beta and gamma")
+    root = 1.0 / np.sqrt(scaled)
     y = x * root
     k = y @ y.T
     k[np.diag_indices_from(k)] += 1.0
-    return _finite(k, "K"), root, y
+    return k, root, y
 
 
 def _reweighting_of(p: np.ndarray, epsilon: float) -> np.ndarray:
@@ -236,7 +234,7 @@ def _embedding_operator(
     both from one factorization; see ``update_f``. When d > n, C = K^{-1} and
     Q^{-1} X^T F = D X^T K^{-1} F (module docstring). Otherwise P comes from
     Q^{-1} X^T itself, not from the residual X^T C F, whose round-off
-    (gamma G)^{-1} would amplify. ``smallest_k_eigen`` symmetrizes the operator.
+    (gamma G)^{-1} would amplify. ``smallest_k_eigen`` symmetrizes and checks it.
     """
     n = x.shape[0]
     if _uses_dual_form(x):
@@ -253,7 +251,7 @@ def _embedding_operator(
         operator = np.eye(n) - x @ back
         operator *= hp.beta
     operator += hp.alpha * laplacian_of(s)
-    return _finite(operator, "embedding operator"), project
+    return operator, project
 
 
 def update_f(

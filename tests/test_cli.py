@@ -141,6 +141,23 @@ def test_weight_that_overflows_exits_3_in_the_fitting_stage(flag, dataset_dir, t
     assert "numeric failure: fitting: " in capsys.readouterr().err
 
 
+def test_tiny_gamma_with_more_features_than_samples_exits_3_in_the_fitting_stage(tmp_path,
+                                                                              capsys):
+    # d = 40 > n = 12: K = I + X (gamma G)^-1 X^T overflows, and the solve
+    # that factors it reports the overflow.
+    data = tmp_path / "data"
+    assert main(["generate", "--clusters", "3", "--n-per-cluster", "4",
+                 "--views", "20:0.3:0.5,20:0.3:0.5", "--seed", "5",
+                 "--output-dir", str(data)]) == 0
+    capsys.readouterr()
+    code = main(["fit", str(data / "manifest.json"), "--clusters", "3", "--k-neighbors", "5",
+                 "--gamma", "1e-320", "--output-dir", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numeric failure: fitting: ") and "overflows" in err[0]
+
+
 @pytest.mark.parametrize("alpha", ["1e40", "5e307"])
 def test_alpha_too_large_for_the_simplex_exits_3_in_the_fitting_stage(alpha, dataset_dir,
                                                                       tmp_path, capsys):

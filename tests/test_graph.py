@@ -143,6 +143,13 @@ def test_affinity_graph_validates_columns():
         AffinityGraph(matrix=np.ones((3, 3)))  # columns sum to 3
     with pytest.raises(ValueError):
         AffinityGraph(matrix=np.array([[1.5, 0.0], [-0.5, 1.0]]))
+    # Two passes catch non-finite entries: entries >= 0 is False at a NaN or
+    # -inf, and an inf entry makes its column sum inf.
+    for entry in (np.nan, np.inf, -np.inf):
+        m = np.full((3, 3), 1.0 / 3.0)
+        m[1, 2] = entry
+        with pytest.raises(ValueError):
+            AffinityGraph(matrix=m)
 
 
 # ------------------------------------------------------------------ Laplacian

@@ -110,6 +110,27 @@ def test_symmetrized_rejects_non_square():
         symmetrized(np.ones((2, 3)))
 
 
+def test_symmetrized_is_bitwise_the_half_sum():
+    rng = np.random.default_rng(44)
+    for scale in (1e-300, 1.0, 1e300):
+        a = rng.normal(size=(9, 9)) * scale
+        assert np.array_equal(symmetrized(a), 0.5 * (a + a.T))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e308])
+def test_symmetrized_scans_its_result_once_for_overflow(entry):
+    # A NaN or inf entry, or a finite one whose a + a.T overflows, is a
+    # NumericError (also a ValueError), with no warning on the way (the
+    # suite turns warnings into errors); so are the kernels built on it.
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = entry
+    for call in (lambda: symmetrized(m), lambda: smallest_k_eigen(m, 1),
+                 lambda: solve_spd(m, np.ones(3))):
+        with pytest.raises(NumericError, match="overflows"):
+            call()
+    assert issubclass(NumericError, ValueError)
+
+
 # ----------------------------------------------------------------- SPD solve
 
 def test_solve_spd_identity():

@@ -1,23 +1,47 @@
 """The README's library quick start, run as written, and its CLI examples, parsed."""
 
+import json
+import os
 from pathlib import Path
 import re
 import shlex
+import subprocess
+import sys
 
 from acsl.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_library_quick_start_converges_with_k_components():
+def quick_start_code() -> str:
     text = README.read_text(encoding="utf-8")
-    code = re.search(r"```python\n(.*?)```", text, re.DOTALL).group(1)
+    return re.search(r"```python\n(.*?)```", text, re.DOTALL).group(1)
+
+
+def test_library_quick_start_converges_with_k_components():
     scope = {}
-    exec(compile(code, str(README), "exec"), scope)
+    exec(compile(quick_start_code(), str(README), "exec"), scope)
     state = scope["state"]
     assert state.converged
     assert state.components_trace[-1] == 3
     assert len(scope["top"]) == 20
+
+
+def test_quick_start_gives_the_same_fit_at_one_and_two_blas_threads():
+    # Bits may differ between thread counts (the README says so); the
+    # iteration count, the convergence flag and the top-20 selection may not.
+    code = ("import json\n" + quick_start_code()
+            + "print(json.dumps([state.iteration, state.converged, top.tolist()]))\n")
+    src = str(README.parent / "src")
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        results.append(json.loads(run.stdout.splitlines()[-1]))
+    assert results[0] == results[1]
+    assert results[0][1] is True
 
 
 def test_cli_examples_parse():

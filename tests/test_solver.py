@@ -52,6 +52,21 @@ def test_hyperparams_validation():
         Hyperparams(k=3, max_outer_iters=0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"k": 2.0}, {"k": 3, "max_outer_iters": 2.5}, {"k": "3"}, {"k": 3, "max_outer_iters": None},
+])
+def test_hyperparams_reject_non_integer_counts(fields):
+    name = list(fields)[-1]
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        Hyperparams(**fields)
+
+
+def test_hyperparams_accept_numpy_integer_counts():
+    hp = Hyperparams(k=np.int64(3), max_outer_iters=np.int32(2))
+    graphs, x, _, _ = blob_problem(3)
+    assert fit(graphs, x, hp).iteration == 2
+
+
 @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "epsilon", "tol_rel_objective"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_hyperparams_reject_non_finite_weights(name, value):
@@ -69,6 +84,16 @@ def test_weights_that_overflow_the_solver_are_a_numeric_error(name, value, shape
     # warning on the way (the suite turns warnings into errors).
     graphs, x, _, hp = blob_problem(3, **shape, **{name: value})
     with pytest.raises(NumericError, match="overflows"):
+        fit(graphs, x, hp)
+
+
+@pytest.mark.parametrize("shape", [{}, WIDE], ids=["primal", "dual"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_non_finite_stacked_matrix_is_rejected_before_any_block(entry, shape, monkeypatch):
+    graphs, x, _, hp = blob_problem(3, **shape)
+    x[4, 7] = entry
+    monkeypatch.setattr(solver, "update_f", None)  # never reached
+    with pytest.raises(ConfigError, match="stacked feature matrix has non-finite entries"):
         fit(graphs, x, hp)
 
 
