@@ -2,7 +2,10 @@
 
 A similarity structure is an ``AffinityGraph``, stored column-stochastically:
 column j holds the affinities of every sample to sample j and lies on the
-probability simplex. Its Laplacian is a plain n x n array.
+probability simplex. A kNN view graph keeps only its support, as a CSR
+array with k entries per column, from construction to the end of a fit;
+the learned structure is a dense n x n array. Its Laplacian is a plain
+n x n array either way.
 
 The arrays derived from a graph, its Laplacian and its support, are
 computed on first use and cached on the instance, read-only. So a graph's
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
+from scipy.sparse import csgraph, csr_array, csr_matrix, issparse
 
 from .errors import ConfigError
 from .numerics import squared_distances
@@ -28,22 +31,30 @@ COLUMN_SUM_TOL = 1e-9
 class AffinityGraph:
     """One n x n similarity structure with simplex-constrained columns.
 
-    matrix[i, j] is the affinity of sample i to sample j. Every column is
-    nonnegative and sums to 1 (within COLUMN_SUM_TOL), checked in two passes:
-    entries >= 0 (False at a NaN), then the column sums (inf at an inf entry).
-    Pre-constructed view graphs additionally have a zero diagonal; a learned
-    structure may not. Instances are treated as immutable after construction.
+    matrix[i, j] is the affinity of sample i to sample j, as a dense array
+    (a learned structure) or a sparse one, kept as a CSR array in canonical
+    form: sorted indices, no duplicates, no explicit zeros (a kNN view
+    graph). Every column is nonnegative and sums to 1 (within
+    COLUMN_SUM_TOL), checked in two passes over the stored entries:
+    entries >= 0 (False at a NaN), then the column sums (inf at an inf
+    entry, or where the sum overflows). Pre-constructed view graphs
+    additionally have a zero diagonal; a learned structure may not.
+    Instances are treated as immutable after construction.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | csr_array
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        sparse = issparse(self.matrix)
+        m = _canonical_csr(self.matrix) if sparse else np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"affinity matrix must be square, got shape {m.shape}")
-        if not (m >= 0).all():  # False at a NaN
+        if not ((m.data if sparse else m) >= 0).all():  # False at a NaN
             raise ValueError("affinity matrix has negative or NaN entries")
-        worst = np.abs(m.sum(axis=0) - 1.0).max()
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
+            sums = (np.bincount(m.indices, weights=m.data, minlength=m.shape[1])
+                    if sparse else m.sum(axis=0))
+        worst = np.abs(sums - 1.0).max()
         if not worst <= COLUMN_SUM_TOL:  # an inf entry makes its column sum inf
             raise ValueError(f"columns must sum to 1, worst deviation {worst:.3e}")
         object.__setattr__(self, "matrix", m)
@@ -58,13 +69,21 @@ class AffinityGraph:
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the nonzero entries, in row-major order:
-        k per column for a kNN view graph."""
-        rows, cols = np.nonzero(self.matrix)
-        return _read_only(rows), _read_only(cols), _read_only(self.matrix[rows, cols])
+        k per column for a kNN view graph. A CSR matrix stores exactly
+        these, in this order."""
+        m = self.matrix
+        if issparse(m):
+            rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
+            cols, values = m.indices.astype(np.intp), m.data.copy()
+        else:
+            rows, cols = np.nonzero(m)
+            values = m[rows, cols]
+        return _read_only(rows), _read_only(cols), _read_only(values)
 
     @cached_property
     def _laplacian(self) -> np.ndarray:
-        lap = self.matrix + self.matrix.T
+        m = self.matrix.toarray() if issparse(self.matrix) else self.matrix
+        lap = m + m.T
         lap *= 0.5
         degree = lap.sum(axis=1)
         np.subtract(0.0, lap, out=lap)  # 0 - a_ij, as diag(degree) - A has it
@@ -75,6 +94,17 @@ class AffinityGraph:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _canonical_csr(m) -> csr_array:
+    """m as a float CSR array whose stored entries are its nonzeros, with
+    sorted indices: copied only when m is not already in that form."""
+    m = csr_array(m, dtype=float)
+    if not (m.has_canonical_format and m.data.all()):
+        m = m.copy()
+        m.sum_duplicates()
+        m.eliminate_zeros()
+    return m
 
 
 def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
@@ -91,6 +121,7 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     Selection costs O(n^2) after the O(n^2 d) distances: a partial
     selection picks each column's k nearest, and only columns with a tie
     at the k-th distance, where that pick is ambiguous, are fully sorted.
+    The graph is returned as a CSR array of its n k entries.
     """
     x = np.asarray(x_v, dtype=float)
     if x.ndim != 2:
@@ -128,15 +159,16 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     weights[:, live] = np.exp(-ndist[:, live] / (2.0 * scale[live]))
     weights /= weights.sum(axis=0)
 
-    matrix = np.zeros((n, n))
-    matrix[neighbors, cols] = weights
+    cols = np.broadcast_to(cols, neighbors.shape)
+    matrix = csr_array((weights.ravel(), (neighbors.ravel(), cols.ravel())), shape=(n, n))
     return AffinityGraph(matrix=matrix)
 
 
 def laplacian_of(s: AffinityGraph) -> np.ndarray:
     """Laplacian D - A of the symmetrized weights A = (S + S^T)/2, with
     D = diag(row sums of A): exactly symmetric, PSD, zero row sums up to
-    round-off. Formed once per graph and cached on it, read-only."""
+    round-off. Formed once per graph and cached on it, read-only. A CSR
+    graph is densified first, so its Laplacian is bitwise its dense form's."""
     return s._laplacian
 
 

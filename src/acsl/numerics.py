@@ -19,7 +19,11 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """d[i, j] = ||a_i - b_j||^2 between the rows of a and b, clipped at 0."""
     sq_a = np.sum(a * a, axis=1)
     sq_b = sq_a if b is a else np.sum(b * b, axis=1)
-    return np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T), 0.0)
+    cross = a @ b.T
+    cross *= 2.0
+    d = sq_a[:, None] + sq_b[None, :]
+    d -= cross
+    return np.maximum(d, 0.0, out=d)
 
 
 def symmetrized(a: np.ndarray) -> np.ndarray:
@@ -31,7 +35,8 @@ def symmetrized(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = 0.5 * (a + a.T)
+        sym = a + a.T
+        sym *= 0.5
     if not np.isfinite(sym).all():
         raise NumericError("matrix has non-finite entries or overflows")
     return sym
@@ -137,11 +142,18 @@ def project_simplex_columns(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    u = m.T.copy()  # one column per row, contiguous, sorted along the rows
+    # One negated column per row, contiguous and sorted ascending: each row
+    # is -u. Negation is exact, so the running sums and thresholds below are
+    # exactly those of u with their signs flipped, all formed in place.
+    u = np.negative(m.T, order="C")
     u.sort(axis=1)
-    u = u[:, ::-1]
-    theta = ((np.cumsum(u, axis=1) - 1.0) / np.arange(1.0, m.shape[0] + 1)).max(axis=1)
-    empty = np.flatnonzero(u[:, 0] <= theta)
+    largest = -u[:, 0]
+    np.cumsum(u, axis=1, out=u)
+    u += 1.0
+    u /= np.arange(1.0, m.shape[0] + 1)
+    theta = -u.min(axis=1)
+    del u
+    empty = np.flatnonzero(largest <= theta)
     if empty.size:
         raise ValueError(f"column {empty[0]} has no entry above the simplex threshold "
                          "in float64")

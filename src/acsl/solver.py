@@ -127,22 +127,36 @@ def _fused_columns(views: list[AffinityGraph], w: np.ndarray) -> np.ndarray:
     Each view adds its products on its support only, in view order: O(V n k)
     for kNN views. Off the supports the dense sum adds only zeros to +0.
     """
-    fused = np.zeros_like(views[0].matrix)
+    fused = np.zeros((views[0].n,) * 2)
     for v, g in enumerate(views):
         rows, cols, values = g.support
         fused[rows, cols] += values * w[v, cols]
     return fused
 
 
-def _view_differences(s: np.ndarray, views: list[AffinityGraph]) -> np.ndarray:
-    """The (V, n, n) stack of s - S^v, written from s and each view's support
-    (s - 0 = s off it)."""
-    b = np.empty((len(views),) + s.shape)
-    for b_v, g in zip(b, views):
-        b_v[...] = s
+def _view_grams(s: np.ndarray, views: list[AffinityGraph]) -> np.ndarray:
+    """The (n, V, V) Grams G_j[v, u] = (s_j - s_j^v) . (s_j - s_j^u).
+
+    Each difference s - S^v is formed in one of two n x n buffers that hold
+    s off the current view's support: a view moves in by subtracting its
+    values there and out by restoring s, at O(n k) each, so no (V, n, n)
+    stack is formed. Each pair (v, u) with u <= v costs one O(n^2) column
+    contraction, whose sums run in the same order as a batched
+    ``einsum("vij,uij->jvu")`` over the stack.
+    """
+    grams = np.empty((len(s), len(views), len(views)))
+    outer, inner = s.copy(), s.copy()
+    for v, g in enumerate(views):
         rows, cols, values = g.support
-        b_v[rows, cols] -= values
-    return b
+        outer[rows, cols] -= values
+        grams[:, v, v] = np.einsum("ij,ij->j", outer, outer)
+        for u, h in enumerate(views[:v]):
+            h_rows, h_cols, h_values = h.support
+            inner[h_rows, h_cols] -= h_values
+            grams[:, v, u] = grams[:, u, v] = np.einsum("ij,ij->j", outer, inner)
+            inner[h_rows, h_cols] = s[h_rows, h_cols]
+        outer[rows, cols] = s[rows, cols]
+    return grams
 
 
 def _regularized_gram(gram: np.ndarray, gamma: float, gamma_diag: np.ndarray) -> np.ndarray:
@@ -248,7 +262,9 @@ def _embedding_operator(
         back = solve_spd(q, x.T)  # Q^{-1} X^T without forming the inverse
         def project(f: np.ndarray) -> np.ndarray:
             return back @ f
-        operator = np.eye(n) - x @ back
+        operator = x @ back
+        np.subtract(0.0, operator, out=operator)  # I - X back, with no n x n I
+        operator[np.diag_indices(n)] += 1.0
         operator *= hp.beta
     operator += hp.alpha * laplacian_of(s)
     return operator, project
@@ -302,7 +318,10 @@ def update_s(
     simplex's sum of 1.
     """
     shifted = _fused_columns(views, state.w)
-    shifted -= 0.25 * hp.alpha * squared_distances(state.f, state.f)
+    distances = squared_distances(state.f, state.f)
+    distances *= 0.25 * hp.alpha
+    shifted -= distances
+    del distances
     try:
         return AffinityGraph(project_simplex_columns(shifted))
     except ValueError as exc:
@@ -330,8 +349,7 @@ def update_w(state: SolverState, views: list[AffinityGraph]) -> np.ndarray:
     raise.
     """
     s = state.s.matrix
-    b = _view_differences(s, views)
-    grams = np.einsum("vij,uij->jvu", b, b)  # (n, V, V), one Gram per column
+    grams = _view_grams(s, views)  # (n, V, V), one Gram per column
     v = grams.shape[1]
     grams[(grams == grams[:, :1, :1]).all(axis=(1, 2))] = np.eye(v)  # G_j = c 11^T
     scale = np.trace(grams, axis1=1, axis2=2) / v
@@ -384,6 +402,7 @@ def initialize(
     w = np.full((v, n), 1.0 / v)
     fused = _fused_columns(views, w)
     s = AffinityGraph(project_simplex_columns(fused))
+    del fused
     gamma_diag = np.ones(d)
     state = SolverState(p=np.zeros((d, hp.k)), f=np.zeros((n, hp.k)), s=s,
                         w=w, gamma_diag=gamma_diag)

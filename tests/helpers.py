@@ -1,6 +1,7 @@
 """Shared builders for randomized test instances."""
 
 import numpy as np
+from scipy.sparse import issparse
 
 from acsl.data import zscore_columns
 from acsl.graph import AffinityGraph, build_view_affinity
@@ -15,6 +16,11 @@ def random_affinity(rng: np.random.Generator, n: int, zero_diag: bool = False) -
         np.fill_diagonal(m, 0.0)
     m /= m.sum(axis=0)
     return AffinityGraph(matrix=m)
+
+
+def dense(g: AffinityGraph) -> np.ndarray:
+    """A graph's matrix as a dense array; kNN view graphs are stored as CSR."""
+    return g.matrix.toarray() if issparse(g.matrix) else g.matrix
 
 
 def random_orthonormal(rng: np.random.Generator, n: int, k: int) -> np.ndarray:

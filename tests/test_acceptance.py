@@ -202,7 +202,7 @@ def test_criterion_4_oracle_equivalences():
         for j in range(n):
             col = state.s.matrix[:, j].copy()
             for v, g in enumerate(graphs):
-                col -= state.w[v, j] * g.matrix[:, j]
+                col -= state.w[v, j] * g.matrix.toarray()[:, j]
             fusion += float(col @ col)
         a = 0.5 * (state.s.matrix + state.s.matrix.T)
         spectral = 0.0

@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph, csr_matrix
+from scipy.sparse import csgraph, csr_array, csr_matrix
 
 from acsl.errors import ConfigError
 from acsl.graph import (
@@ -14,7 +14,7 @@ from acsl.graph import (
 )
 from acsl.numerics import smallest_k_eigen
 
-from helpers import random_affinity
+from helpers import dense, random_affinity
 
 
 def block_affinity(rng, sizes):
@@ -35,7 +35,7 @@ def block_affinity(rng, sizes):
 
 def test_affinity_two_points_single_neighbor():
     g = build_view_affinity(np.array([[0.0], [1.0]]), 1)
-    assert np.allclose(g.matrix, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.allclose(g.matrix.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_affinity_equidistant_triangle():
@@ -43,7 +43,7 @@ def test_affinity_equidistant_triangle():
     g = build_view_affinity(pts, 2)
     expected = np.full((3, 3), 0.5)
     np.fill_diagonal(expected, 0.0)
-    assert np.allclose(g.matrix, expected, atol=1e-12)
+    assert np.allclose(g.matrix.toarray(), expected, atol=1e-12)
 
 
 def test_affinity_blob_support_matches_bruteforce_knn():
@@ -63,9 +63,9 @@ def test_affinity_blob_support_matches_bruteforce_knn():
 
 def test_affinity_duplicate_points_fall_back_to_uniform():
     x = np.zeros((5, 3))
-    g = build_view_affinity(x, 2)
+    m = build_view_affinity(x, 2).matrix.toarray()
     for j in range(5):
-        nz = g.matrix[:, j][g.matrix[:, j] > 0]
+        nz = m[:, j][m[:, j] > 0]
         assert len(nz) == 2
         assert np.allclose(nz, 0.5)
 
@@ -80,9 +80,9 @@ def test_affinity_weights_decay_with_distance():
 def test_affinity_permutation_consistency():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(18, 5))
-    g = build_view_affinity(x, 6).matrix
+    g = build_view_affinity(x, 6).matrix.toarray()
     perm = rng.permutation(18)
-    gp = build_view_affinity(x[perm], 6).matrix
+    gp = build_view_affinity(x[perm], 6).matrix.toarray()
     assert np.allclose(gp, g[np.ix_(perm, perm)], atol=1e-12)
 
 
@@ -120,14 +120,14 @@ def test_affinity_is_bitwise_the_stable_sort_knn(seed):
         x = np.repeat(rng.integers(0, 2, size=(n, d)).astype(float), 3, axis=0)
     n = x.shape[0]
     for k in sorted({1, n - 1, max(1, n // 2), min(n - 1, 10)}):
-        got = build_view_affinity(x, k).matrix
+        got = build_view_affinity(x, k).matrix.toarray()
         assert got.tobytes() == _stable_sort_affinity(x, k).tobytes(), (n, k)
 
 
 def test_affinity_ties_go_to_the_lower_index():
     # Samples 1, 2 and 3 are all at distance 1 from sample 0.
     x = np.array([[0.0], [1.0], [-1.0], [1.0], [5.0]])
-    assert np.flatnonzero(build_view_affinity(x, 2).matrix[:, 0]).tolist() == [1, 2]
+    assert np.flatnonzero(build_view_affinity(x, 2).matrix.toarray()[:, 0]).tolist() == [1, 2]
 
 
 def test_affinity_rejects_bad_neighbor_counts():
@@ -150,6 +150,58 @@ def test_affinity_graph_validates_columns():
         m[1, 2] = entry
         with pytest.raises(ValueError):
             AffinityGraph(matrix=m)
+
+
+def test_affinity_graph_rejects_overflowing_column_sums_without_a_warning():
+    # Finite entries whose column sums overflow to inf. Tier-1 turns
+    # warnings into errors, so an overflow warning here would fail the test.
+    m = np.full((3, 3), 1e308)
+    for matrix in (m, csr_array(m)):
+        with pytest.raises(ValueError, match="columns must sum to 1"):
+            AffinityGraph(matrix=matrix)
+
+
+def test_csr_affinity_graph_validates_its_stored_entries():
+    good = np.full((3, 3), 1.0 / 3.0)
+    with pytest.raises(ValueError, match="square"):
+        AffinityGraph(matrix=csr_array(np.full((2, 3), 0.5)))
+    with pytest.raises(ValueError, match="columns must sum to 1"):
+        AffinityGraph(matrix=csr_array(np.ones((3, 3))))
+    for entry in (np.nan, np.inf, -np.inf, -0.1):
+        m = good.copy()
+        m[1, 2] = entry
+        with pytest.raises(ValueError):
+            AffinityGraph(matrix=csr_array(m))
+
+
+def test_view_graph_is_a_canonical_csr_array():
+    x = np.random.default_rng(22).normal(size=(25, 3))
+    g = build_view_affinity(x, 4)
+    assert isinstance(g.matrix, csr_array)
+    assert g.matrix.has_canonical_format
+    assert g.matrix.nnz == 25 * 4
+    assert (g.matrix.data > 0).all()
+
+
+def test_csr_graph_reads_like_its_dense_form():
+    # A CSR input with unsorted indices, split duplicate entries and explicit
+    # zeros has the support, Laplacian and component count of its dense form.
+    rng = np.random.default_rng(23)
+    m = block_affinity(rng, [3, 4, 2]).matrix.copy()
+    m[0, 1] = 0.0  # a zero inside a block
+    m[:, 1] /= m[:, 1].sum()
+    dense_graph = AffinityGraph(matrix=m)
+    n = m.shape[0]
+    indices = [rng.permutation(np.tile(np.arange(n), 2)) for _ in range(n)]
+    halves = [m[i, cols] / 2.0 for i, cols in enumerate(indices)]  # exact halves
+    raw = csr_array((np.concatenate(halves), np.concatenate(indices),
+                     np.arange(0, 2 * n * n + 1, 2 * n)), shape=(n, n))
+    assert not raw.has_canonical_format
+    g = AffinityGraph(matrix=raw)
+    assert not raw.has_canonical_format  # canonicalized on a copy
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(g.support, dense_graph.support))
+    assert laplacian_of(g).tobytes() == laplacian_of(dense_graph).tobytes()
+    assert connected_components(g) == connected_components(dense_graph) == 3
 
 
 # ------------------------------------------------------------------ Laplacian
@@ -201,7 +253,7 @@ def _test_graphs(rng):
 def test_laplacian_is_bitwise_the_dense_formula():
     rng = np.random.default_rng(18)
     for g in _test_graphs(rng):
-        a = 0.5 * (g.matrix + g.matrix.T)
+        a = 0.5 * (dense(g) + dense(g).T)
         expected = np.diag(a.sum(axis=1)) - a
         lap = laplacian_of(g)
         assert np.array_equal(lap, expected)
@@ -218,16 +270,16 @@ def test_derived_arrays_are_cached_and_read_only():
             a[0] = 1.0
     rows, cols, values = g.support
     assert np.array_equal(np.bincount(cols, minlength=g.n), np.full(g.n, 5))
-    dense = np.zeros((g.n, g.n))
-    dense[rows, cols] = values
-    assert np.array_equal(dense, g.matrix)
+    scattered = np.zeros((g.n, g.n))
+    scattered[rows, cols] = values
+    assert np.array_equal(scattered, g.matrix.toarray())
 
 
 def test_pickled_view_graph_round_trips():
     g = build_view_affinity(np.random.default_rng(20).normal(size=(20, 4)), 5)
     lap, support = laplacian_of(g), g.support
     h = pickle.loads(pickle.dumps(g))
-    assert np.array_equal(h.matrix, g.matrix)
+    assert np.array_equal(h.matrix.toarray(), g.matrix.toarray())
     assert np.array_equal(laplacian_of(h), lap)
     assert all(np.array_equal(a, b) for a, b in zip(h.support, support))
     # Derived arrays are recomputed, not carried over, so they stay read-only.
@@ -270,7 +322,7 @@ def test_components_match_spectral_multiplicity_oracle():
 
 
 def _dense_component_count(g):
-    adjacency = 0.5 * (g.matrix + g.matrix.T) > COMPONENT_EDGE_THRESHOLD
+    adjacency = 0.5 * (dense(g) + dense(g).T) > COMPONENT_EDGE_THRESHOLD
     return csgraph.connected_components(csr_matrix(adjacency), directed=False)[0]
 
 

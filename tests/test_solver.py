@@ -1,13 +1,16 @@
 from dataclasses import replace
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from acsl import solver
 from acsl.errors import ConfigError, NumericError
-from acsl.graph import AffinityGraph, connected_components, laplacian_of
+from acsl.data import zscore_columns
+from acsl.graph import AffinityGraph, build_view_affinity, connected_components, laplacian_of
 from acsl.numerics import project_simplex, project_simplex_columns, solve_spd, squared_distances
+from acsl.synthetic import generate_synthetic
 from acsl.solver import (
     Hyperparams,
     SolverState,
@@ -18,7 +21,7 @@ from acsl.solver import (
     _reweighting_of,
     _solve_projection,
     _uses_dual_form,
-    _view_differences,
+    _view_grams,
     fit,
     initialize,
     objective,
@@ -28,7 +31,7 @@ from acsl.solver import (
     update_w,
 )
 
-from helpers import blob_problem, mm_steps, random_affinity, random_orthonormal, random_state
+from helpers import blob_problem, dense, mm_steps, random_affinity, random_orthonormal, random_state
 
 TINY_ALPHA = 1e-15
 # Blob problem with n=12 samples and d=40 stacked dims: solves with Q take
@@ -531,7 +534,7 @@ def test_update_s_column_matches_coarse_grid_search_oracle():
 def test_update_s_beats_random_simplex_points():
     state, graphs, x, hp = random_state(36)
     s = update_s(state, graphs, hp)
-    fused = sum(v.matrix * state.w[i][None, :] for i, v in enumerate(graphs))
+    fused = sum(v.matrix.toarray() * state.w[i][None, :] for i, v in enumerate(graphs))
     shift = squared_distances(state.f, state.f)
     rng = np.random.default_rng(37)
     n = s.n
@@ -651,7 +654,7 @@ def test_update_w_never_increases_the_fusion_residual():
         state.s = update_s(state, graphs, hp)
 
         def fusion(w):
-            fused = sum(v.matrix * w[i][None, :] for i, v in enumerate(graphs))
+            fused = sum(v.matrix.toarray() * w[i][None, :] for i, v in enumerate(graphs))
             return float(np.sum((state.s.matrix - fused) ** 2))
 
         before = fusion(state.w)
@@ -679,7 +682,7 @@ def test_objective_zero_projection_fit_term_is_beta_k():
     state, graphs, x, hp = random_state(44)
     state.p = np.zeros_like(state.p)
     value = objective(state, graphs, x, hp)
-    fused = sum(v.matrix * state.w[i][None, :] for i, v in enumerate(graphs))
+    fused = sum(v.matrix.toarray() * state.w[i][None, :] for i, v in enumerate(graphs))
     lap = laplacian_of(state.s)
     expected = (float(np.sum((state.s.matrix - fused) ** 2))
                 + hp.alpha * np.trace(state.f.T @ lap @ state.f)
@@ -698,20 +701,21 @@ def test_view_sums_are_bitwise_the_dense_sums():
     for views in _view_sets(rng):
         w = rng.normal(size=(3, 30))
         w /= w.sum(axis=0)
-        dense = np.zeros((30, 30))
+        reference = np.zeros((30, 30))
         for v, g in enumerate(views):
-            dense += g.matrix * w[v][None, :]
+            reference += dense(g) * w[v][None, :]
         fused = _fused_columns(views, w)
-        assert np.array_equal(fused, dense)
-        assert np.array_equal(np.signbit(fused), np.signbit(dense))
+        assert np.array_equal(fused, reference)
+        assert np.array_equal(np.signbit(fused), np.signbit(reference))
         s = random_affinity(rng, 30).matrix
-        stack = np.stack([s - g.matrix for g in views])
-        assert np.array_equal(_view_differences(s, views), stack)
+        stack = np.stack([s - dense(g) for g in views])
+        assert np.array_equal(_view_grams(s, views),
+                              np.einsum("vij,uij->jvu", stack, stack))
 
 
 def test_update_s_is_bitwise_the_out_of_place_shift():
     state, graphs, x, hp = random_state(46, alpha=3.0)
-    fused = sum(v.matrix * state.w[i][None, :] for i, v in enumerate(graphs))
+    fused = sum(v.matrix.toarray() * state.w[i][None, :] for i, v in enumerate(graphs))
     shifted = fused - 0.25 * hp.alpha * squared_distances(state.f, state.f)
     assert np.array_equal(update_s(state, graphs, hp).matrix,
                           project_simplex_columns(shifted))
@@ -721,7 +725,7 @@ def test_objective_is_bitwise_the_dense_formula():
     state, graphs, x, hp = random_state(45)
     state.s = update_s(state, graphs, hp)
     state.w = update_w(state, graphs)
-    fused = sum(v.matrix * state.w[i][None, :] for i, v in enumerate(graphs))
+    fused = sum(v.matrix.toarray() * state.w[i][None, :] for i, v in enumerate(graphs))
     resid_s = state.s.matrix - fused
     a = 0.5 * (state.s.matrix + state.s.matrix.T)
     lap = np.diag(a.sum(axis=1)) - a
@@ -743,7 +747,7 @@ def test_objective_matches_naive_double_loop_oracle():
         for j in range(n):
             col = state.s.matrix[:, j].copy()
             for v, g in enumerate(graphs):
-                col -= state.w[v, j] * g.matrix[:, j]
+                col -= state.w[v, j] * g.matrix.toarray()[:, j]
             fusion += float(col @ col)
         spectral = 0.0
         a = 0.5 * (state.s.matrix + state.s.matrix.T)
@@ -858,3 +862,60 @@ def test_fit_adaptive_alpha_reacts_to_component_count():
     )
     state = fit(graphs, x, hp)
     assert state.alpha_trace[-1] > hp.alpha or connected_components(state.s) == 3
+
+
+# ------------------------------------------------------ sparse views, memory
+
+@pytest.mark.parametrize("shape", [{}, WIDE], ids=["primal", "dual"])
+def test_fit_on_csr_views_is_bitwise_the_fit_on_dense_views(shape):
+    graphs, x, _, hp = blob_problem(52, n_views=3, max_outer_iters=5, **shape)
+    assert _uses_dual_form(x) == bool(shape)
+    on_csr = fit(graphs, x, hp)
+    on_dense = fit([AffinityGraph(g.matrix.toarray()) for g in graphs], x, hp)
+    for name in ("p", "f", "w"):
+        assert getattr(on_csr, name).tobytes() == getattr(on_dense, name).tobytes()
+    assert on_csr.s.matrix.tobytes() == on_dense.s.matrix.tobytes()
+    assert on_csr.objective_trace == on_dense.objective_trace
+    assert on_csr.components_trace == on_dense.components_trace
+
+
+def test_view_grams_are_bitwise_the_batched_einsum_over_the_stack():
+    rng = np.random.default_rng(53)
+    for n in (31, 257):
+        views = [build_view_affinity(rng.normal(size=(n, 4)), 10) for _ in range(2)]
+        views.append(random_affinity(rng, n))
+        s = random_affinity(rng, n).matrix
+        stack = np.stack([s - dense(g) for g in views])
+        assert np.array_equal(_view_grams(s, views), np.einsum("vij,uij->jvu", stack, stack))
+
+
+def test_fit_and_view_graphs_stay_within_their_memory_bounds():
+    # In units of one n x n array of doubles: three kNN view graphs hold at
+    # most 0.2 of one, a fit's traced peak is at most 5.5 of them, and
+    # update_w adds at most 2.5 (its two buffers, no (V, n, n) stack).
+    dataset, _ = generate_synthetic(200, 3, [(10, 1.0, 0.5)] * 3, seed=0)
+    mats = [zscore_columns(v) for v in dataset.views]
+    x = np.hstack(mats)
+    unit = 8 * x.shape[0] ** 2
+    hp = Hyperparams(k=3, max_outer_iters=3)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        graphs = [build_view_affinity(m, 10) for m in mats]
+        held = tracemalloc.get_traced_memory()[0] - start
+        fit(graphs, x, replace(hp, max_outer_iters=1))  # first-call costs, unmeasured
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        state = fit(graphs, x, hp)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        update_w(state, graphs)
+        peak_w = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held <= 0.2 * unit
+    assert peak <= 5.5 * unit
+    assert peak_w <= 2.5 * unit
