@@ -23,7 +23,7 @@ from .data import (
     write_json,
     write_lines,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, require_integers
 from .evaluation import score_clustering
 from .graph import build_view_affinity
 from .selection import rank_features, select_top
@@ -47,6 +47,10 @@ class RunConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        require_integers("k_neighbors", self.k_neighbors)
+        require_integers("kmeans_restarts", self.kmeans_restarts)
+        require_integers("each l_grid entry", *(self.l_grid or ()))
+        require_integers("each eval_seeds entry", *self.eval_seeds)
         if self.k_neighbors < 1:
             raise ConfigError(f"k_neighbors must be positive, got {self.k_neighbors}")
         if self.kmeans_restarts < 1:
@@ -247,11 +251,12 @@ def run_grid(
     all points, which run in a process pool when jobs > 1: each worker
     receives the problem once, when it starts, and then one point per task.
     The summary reports every point and the best by mean clustering
-    accuracy (ties keep the earliest point in grid order). An empty `values` or a `jobs`
-    below 1 is a ConfigError.
+    accuracy (ties keep the earliest point in grid order). An empty `values`, or a `jobs`
+    that is not an integer or is below 1, is a ConfigError.
     """
     if not values:
         raise ConfigError("grid values must not be empty")
+    require_integers("jobs", jobs)
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     names = {}

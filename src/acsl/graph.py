@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csgraph, csr_array, csr_matrix, issparse
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 from .numerics import squared_distances
 
 # Symmetrized edge weights above this count as edges when counting components.
@@ -69,15 +69,11 @@ class AffinityGraph:
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the nonzero entries, in row-major order:
-        k per column for a kNN view graph. A CSR matrix stores exactly
-        these, in this order."""
-        m = self.matrix
-        if issparse(m):
-            rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
-            cols, values = m.indices.astype(np.intp), m.data.copy()
-        else:
-            rows, cols = np.nonzero(m)
-            values = m[rows, cols]
+        k per column for a kNN view graph. Read from the CSR form, which
+        stores exactly these, in this order, for a dense matrix too."""
+        m = csr_array(self.matrix)
+        rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
+        cols, values = m.indices.astype(np.intp), m.data.copy()
         return _read_only(rows), _read_only(cols), _read_only(values)
 
     @cached_property
@@ -97,13 +93,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _canonical_csr(m) -> csr_array:
-    """m as a float CSR array whose stored entries are its nonzeros, with
-    sorted indices: copied only when m is not already in that form."""
-    m = csr_array(m, dtype=float)
-    if not (m.has_canonical_format and m.data.all()):
-        m = m.copy()
-        m.sum_duplicates()
-        m.eliminate_zeros()
+    """A float CSR copy of m whose stored entries are its nonzeros, with
+    sorted indices."""
+    m = csr_array(m, dtype=float, copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
     return m
 
 
@@ -129,6 +123,7 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     if not np.isfinite(x).all():
         raise ValueError("feature matrix has non-finite entries")
     n = x.shape[0]
+    require_integers("k_neighbors", k_neighbors)
     if k_neighbors < 1:
         raise ConfigError(f"k_neighbors must be positive, got {k_neighbors}")
     if k_neighbors >= n:

@@ -300,7 +300,9 @@ def update_s(
     state: SolverState, views: list[AffinityGraph], hp: Hyperparams
 ) -> AffinityGraph:
     """Similarity update: per-column simplex projection of the fused view
-    columns shifted by the indicator distances.
+    columns shifted by the indicator distances. It reads only F, W and the
+    views, never the current S; at F = 0 the shift is +0 and the result is
+    the projection of the fusion itself (``initialize``).
 
     L_S = D - (S + S^T)/2, so Tr(F^T L_S F) = 1/2 sum_ij s_ij a_ij with
     a_ij = ||f_i - f_j||^2, and the s-block of the objective splits into
@@ -318,10 +320,7 @@ def update_s(
     simplex's sum of 1.
     """
     shifted = _fused_columns(views, state.w)
-    distances = squared_distances(state.f, state.f)
-    distances *= 0.25 * hp.alpha
-    shifted -= distances
-    del distances
+    shifted -= 0.25 * hp.alpha * squared_distances(state.f, state.f)
     try:
         return AffinityGraph(project_simplex_columns(shifted))
     except ValueError as exc:
@@ -389,23 +388,20 @@ def objective(
 def initialize(
     views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams
 ) -> SolverState:
-    """Starting state: uniform view weights, the uniform fusion of the view
-    graphs as the similarity structure, the indicator from the embedding
-    operator of that structure with unit reweighting, and the projection
-    that ``update_f`` pairs with that indicator.
+    """Starting state: the S and (F, P) steps from a fixed start.
+
+    From uniform view weights, F = 0, P = 0 and unit reweighting (G = I),
+    ``update_s`` gives the projection of the uniform fusion of the view
+    graphs (the shift vanishes at F = 0), and ``update_f`` the indicator
+    from the embedding operator of that structure and its paired projection.
     """
     x = np.asarray(x, dtype=float)
     n = _check_problem(views, x, hp)
-    v = len(views)
     d = x.shape[1]
-
-    w = np.full((v, n), 1.0 / v)
-    fused = _fused_columns(views, w)
-    s = AffinityGraph(project_simplex_columns(fused))
-    del fused
-    gamma_diag = np.ones(d)
-    state = SolverState(p=np.zeros((d, hp.k)), f=np.zeros((n, hp.k)), s=s,
-                        w=w, gamma_diag=gamma_diag)
+    state = SolverState(p=np.zeros((d, hp.k)), f=np.zeros((n, hp.k)), s=None,
+                        w=np.full((len(views), n), 1.0 / len(views)),
+                        gamma_diag=np.ones(d))
+    state.s = update_s(state, views, hp)
     state.f, state.p = update_f(state, x, hp)
     _record(state, views, x, hp)
     return state

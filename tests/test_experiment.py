@@ -216,6 +216,23 @@ def test_run_config_rejects_negative_eval_seeds(tmp_path):
         quick_config(tmp_path, eval_seeds=(0, -1))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k_neighbors": 2.5}, "k_neighbors must be an integer, got 2.5"),
+    ({"kmeans_restarts": 1.5}, "kmeans_restarts must be an integer, got 1.5"),
+    ({"l_grid": (10, 2.5)}, "each l_grid entry must be an integer, got 2.5"),
+    ({"eval_seeds": (0, 1.5)}, "each eval_seeds entry must be an integer, got 1.5"),
+], ids=["k_neighbors", "kmeans_restarts", "l_grid", "eval_seeds"])
+def test_run_config_rejects_non_integer_counts(tmp_path, kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        quick_config(tmp_path, **kwargs)
+
+
+def test_run_config_accepts_numpy_integer_counts(tmp_path):
+    config = quick_config(tmp_path, k_neighbors=np.int64(8), kmeans_restarts=np.int32(5),
+                          l_grid=(np.int64(10),), eval_seeds=(np.int64(0), np.uint8(1)))
+    assert config.k_neighbors == 8
+
+
 def test_run_config_rejects_repeated_eval_seeds(tmp_path):
     with pytest.raises(ConfigError, match="eval_seeds must be distinct"):
         quick_config(tmp_path, eval_seeds=(0, 1, 0))
@@ -266,6 +283,7 @@ def test_results_json_is_versioned(synthetic_manifest, tmp_path):
     ({"values": ()}, "grid values must not be empty"),
     ({"jobs": 0}, "jobs must be at least 1, got 0"),
     ({"jobs": -2}, "jobs must be at least 1, got -2"),
+    ({"jobs": 1.5}, "jobs must be an integer, got 1.5"),
 ])
 def test_grid_rejects_no_values_or_jobs_below_one_before_loading(
     synthetic_manifest, tmp_path, monkeypatch, kwargs, message

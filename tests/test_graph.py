@@ -130,6 +130,12 @@ def test_affinity_ties_go_to_the_lower_index():
     assert np.flatnonzero(build_view_affinity(x, 2).matrix.toarray()[:, 0]).tolist() == [1, 2]
 
 
+@pytest.mark.parametrize("k_neighbors", [2.5, 2.0, "2"])
+def test_affinity_rejects_a_non_integer_neighbor_count(k_neighbors):
+    with pytest.raises(ConfigError, match="k_neighbors must be an integer"):
+        build_view_affinity(np.zeros((4, 2)), k_neighbors)
+
+
 def test_affinity_rejects_bad_neighbor_counts():
     x = np.zeros((4, 2))
     with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from acsl import solver
 from acsl.errors import ConfigError, NumericError
@@ -139,6 +140,12 @@ def test_initialize_three_views_matches_direct_average_oracle():
     mean = sum(v.matrix for v in views) / 3.0
     assert np.allclose(state.s.matrix, mean, atol=1e-12)
     assert np.abs(state.s.matrix.sum(axis=0) - 1.0).max() <= 1e-9
+    # S_0 is bitwise the projection of the uniform fusion, for dense and CSR
+    # views alike: update_s at F = 0 adds a shift of +0.
+    uniform = np.full((3, 9), 1.0 / 3.0)
+    for given in (views, [AffinityGraph(csr_array(v.matrix)) for v in views]):
+        expected = project_simplex_columns(_fused_columns(given, uniform))
+        assert initialize(given, x, Hyperparams(k=3)).s.matrix.tobytes() == expected.tobytes()
 
 
 def test_initialize_seeds_traces_and_indicator():
@@ -717,8 +724,14 @@ def test_update_s_is_bitwise_the_out_of_place_shift():
     state, graphs, x, hp = random_state(46, alpha=3.0)
     fused = sum(v.matrix.toarray() * state.w[i][None, :] for i, v in enumerate(graphs))
     shifted = fused - 0.25 * hp.alpha * squared_distances(state.f, state.f)
-    assert np.array_equal(update_s(state, graphs, hp).matrix,
-                          project_simplex_columns(shifted))
+    expected = project_simplex_columns(shifted)
+    assert np.array_equal(update_s(state, graphs, hp).matrix, expected)
+    # update_s never reads the current S: a random S and the fitted S give
+    # the same bits.
+    for s in (random_affinity(np.random.default_rng(47), state.s.n),
+              fit(graphs, x, replace(hp, max_outer_iters=3)).s):
+        state.s = s
+        assert update_s(state, graphs, hp).matrix.tobytes() == expected.tobytes()
 
 
 def test_objective_is_bitwise_the_dense_formula():
