@@ -7,8 +7,11 @@ experiment pipeline relies on for reproducible reports. ACC and NMI are
 plain floats, in [0, 1] by construction.
 """
 
+import numbers
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .numerics import squared_distances
 
@@ -72,6 +75,11 @@ def kmeans(data: np.ndarray, k: int, restarts: int = 50, seed: int = 0) -> np.nd
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError(f"expected a non-empty 2-d data matrix, got shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise ValueError("data must be finite")
+    for name, value in (("k", k), ("restarts", restarts)):
+        if not isinstance(value, numbers.Integral):  # numpy integers too
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= k <= data.shape[0]:
         raise ValueError(f"k must be in [1, {data.shape[0]}], got {k}")
     if restarts < 1:
@@ -95,6 +103,8 @@ def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"label vectors must match, got shapes {pred.shape} and {truth.shape}"
         )
+    if pred.size == 0:
+        raise ValueError("label vectors are empty")
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
     table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
@@ -104,11 +114,19 @@ def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def clustering_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of samples matched under the best one-to-one mapping of
-    predicted clusters to true clusters (Hungarian assignment on the
-    contingency table). Invariant to relabeling either argument.
+    predicted clusters to true clusters. Invariant to relabeling either
+    argument.
+
+    The mapping is a minimum-weight full bipartite matching (LAPJVsp) of
+    the contingency table under the costs ``max + 1 - count``. Every cost
+    is at least 1, so the graph is complete: the sparse solver drops zero
+    entries, and the raw counts can admit no full matching. Every full
+    matching has min(rows, cols) edges, so the constant shift keeps the
+    maximum-count matching, and all of those share one integer total,
+    whichever way ties break.
     """
     table = _contingency(pred, truth)
-    rows, cols = linear_sum_assignment(table, maximize=True)
+    rows, cols = min_weight_full_bipartite_matching(csr_array(table.max() + 1.0 - table))
     return float(table[rows, cols].sum()) / table.sum()
 
 
@@ -145,6 +163,10 @@ def score_clustering(
     """ACC and NMI of k-means labelings of `data`, one run per seed."""
     if not seeds:
         raise ValueError("at least one evaluation seed is required")
+    truth = np.asarray(truth)
+    samples = np.shape(data)[:1]
+    if truth.shape != samples:
+        raise ValueError(f"label vectors must match, got shapes {samples} and {truth.shape}")
     accs = []
     nmis = []
     for seed in seeds:

@@ -320,7 +320,13 @@ def update_s(
     simplex's sum of 1.
     """
     shifted = _fused_columns(views, state.w)
-    shifted -= 0.25 * hp.alpha * squared_distances(state.f, state.f)
+    # In place, with the same scalar (so the same bits): the first elided
+    # temporary of a process raises its peak RSS. The shift is dropped
+    # before the projection, whose buffers set the fit's peak.
+    shift = squared_distances(state.f, state.f)
+    shift *= 0.25 * hp.alpha
+    shifted -= shift
+    del shift
     try:
         return AffinityGraph(project_simplex_columns(shifted))
     except ValueError as exc:

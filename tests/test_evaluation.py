@@ -1,8 +1,13 @@
 import itertools
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from acsl import evaluation
 from acsl.evaluation import (
     _lloyd,
     clustering_accuracy,
@@ -95,6 +100,28 @@ def test_kmeans_validates_arguments():
         kmeans(data, 2, restarts=0)
 
 
+@pytest.mark.parametrize(
+    ("data", "k", "restarts", "match"),
+    [
+        (np.zeros((4, 2)), 2.5, 1, "k must be an integer"),
+        (np.zeros((4, 2)), 2.0, 1, "k must be an integer"),
+        (np.zeros((4, 2)), 2, 1.5, "restarts must be an integer"),
+        (np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]), 2, 1, "data must be finite"),
+        (np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]), 2, 1, "data must be finite"),
+    ],
+)
+def test_kmeans_rejects_bad_arguments_at_entry(data, k, restarts, match):
+    with pytest.raises(ValueError, match=match):
+        kmeans(data, k, restarts=restarts)
+
+
+def test_kmeans_accepts_numpy_integers():
+    data = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
+    expected = kmeans(data, 2, restarts=3, seed=0)
+    ours = kmeans(data, np.int64(2), restarts=np.int32(3), seed=0)
+    assert np.array_equal(ours, expected)
+
+
 # ------------------------------------------------------------------ accuracy
 
 def test_accuracy_identical_labelings():
@@ -122,6 +149,45 @@ def test_accuracy_matches_factorial_enumeration_oracle():
         assert ours == pytest.approx(best, abs=1e-12)
 
 
+def injective_map_oracle(pred, truth, a, b):
+    # Best count over every injective map from the smaller label range into
+    # the larger one, computed on the labels themselves, not on a table.
+    best = 0
+    if a <= b:
+        for image in itertools.permutations(range(b), a):
+            best = max(best, int(np.sum(np.array(image)[pred] == truth)))
+    else:
+        for image in itertools.permutations(range(a), b):
+            best = max(best, int(np.sum(pred == np.array(image)[truth])))
+    return best / len(truth)
+
+
+def test_accuracy_matches_injective_map_oracle_on_rectangular_sparse_tables():
+    # Rectangular contingency tables and tables that are mostly zeros: the
+    # nonzero counts alone often admit no full matching.
+    rng = np.random.default_rng(69)
+    for a in range(1, 6):
+        for b in range(1, 6):
+            for trial in range(6):
+                n = int(rng.integers(1, 16))
+                # Skewed draws leave most of the table empty.
+                p_pred = rng.dirichlet(np.full(a, 0.3))
+                p_truth = rng.dirichlet(np.full(b, 0.3))
+                pred = rng.choice(a, size=n, p=p_pred)
+                truth = rng.choice(b, size=n, p=p_truth) if trial % 2 else pred % b
+                expected = injective_map_oracle(pred, truth, a, b)
+                assert clustering_accuracy(pred, truth) == expected, (pred, truth)
+
+
+def test_accuracy_when_the_nonzero_counts_admit_no_full_matching():
+    # Contingency [[2, 0, 0], [2, 0, 0], [0, 1, 1]]: both of the first two
+    # clusters sit on class 0 alone.
+    pred = np.array([0, 0, 1, 1, 2, 2])
+    truth = np.array([0, 0, 0, 0, 1, 2])
+    assert clustering_accuracy(pred, truth) == 0.5
+    assert clustering_accuracy(truth, pred) == 0.5
+
+
 def test_accuracy_balanced_lower_bound():
     rng = np.random.default_rng(66)
     for k in (2, 3, 4):
@@ -134,6 +200,24 @@ def test_accuracy_balanced_lower_bound():
 def test_accuracy_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         clustering_accuracy(np.zeros(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("measure", [clustering_accuracy, nmi])
+@pytest.mark.parametrize("empty", [[], np.array([], dtype=int)])
+def test_measures_reject_empty_labels(measure, empty):
+    with pytest.raises(ValueError, match="label vectors are empty"):
+        measure(empty, empty)
+
+
+@pytest.mark.parametrize("n_truth", [0, 19, 21])
+def test_score_clustering_checks_lengths_before_kmeans(monkeypatch, n_truth):
+    def no_kmeans(*args, **kwargs):
+        raise AssertionError("k-means ran before the label lengths were checked")
+
+    monkeypatch.setattr(evaluation, "kmeans", no_kmeans)
+    data = np.random.default_rng(71).normal(size=(20, 3))
+    with pytest.raises(ValueError, match="label vectors must match"):
+        score_clustering(data, np.zeros(n_truth, dtype=int), 2, restarts=2, seeds=(0,))
 
 
 # ----------------------------------------------------------------------- NMI
@@ -189,3 +273,23 @@ def test_score_clustering_runs_per_seed():
     accs, nmis = score_clustering(data, truth, 2, restarts=5, seeds=(0, 1, 2))
     assert accs.shape == (3,) and nmis.shape == (3,)
     assert np.all(accs == 1.0)
+
+
+def test_importing_and_scoring_leave_scipy_optimize_unloaded():
+    # scipy.optimize costs about 17 MB of RSS in every process that loads it;
+    # the ACC matching runs on scipy.sparse.csgraph instead.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import acsl\n"
+        "from acsl.evaluation import score_clustering\n"
+        "data = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])\n"
+        "accs, _ = score_clustering(data, np.array([0, 0, 1, 1]), 2, restarts=2, seeds=(0,))\n"
+        "assert accs.tolist() == [1.0], accs\n"
+        "print([m for m in sys.modules if m.startswith('scipy.optimize')])\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
