@@ -6,7 +6,6 @@ seeds), written in the one format of `data.write_json` and
 `data.write_lines`, with no timestamps.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 import itertools
@@ -278,6 +277,9 @@ def run_grid(
     if problem[1] is None:
         raise ConfigError("grid mode needs labels to rank configurations by accuracy")
     if jobs > 1:
+        # Imported here: loading the process pool costs every process that
+        # imports acsl about 0.7 MB, and only a parallel grid uses it.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
                                  initargs=(problem,)) as pool:
             points = list(pool.map(_worker_grid_point, configs))

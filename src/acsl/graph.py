@@ -7,19 +7,21 @@ array with k entries per column, from construction to the end of a fit;
 the learned structure is a dense n x n array. Its Laplacian is a plain
 n x n array either way.
 
-The arrays derived from a graph, its Laplacian and its support, are
-computed on first use and cached on the instance, read-only. So a graph's
-``matrix`` must not be changed after construction.
+A graph caches its support on the instance, read-only, so a graph's
+``matrix`` must not be changed after construction. Its Laplacian is not
+cached: it is formed where it is used, whole (``laplacian_of``) or one
+block of rows at a time (``AffinityGraph.laplacian_rows``), so that no
+n x n array outlives the step that reads it.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csgraph, csr_array, csr_matrix, issparse
+from scipy.sparse import csc_array, csgraph, csr_array, csr_matrix, issparse
 
 from .errors import ConfigError, require_integers
-from .numerics import squared_distances
+from .numerics import _row_blocks, squared_distances
 
 # Symmetrized edge weights above this count as edges when counting components.
 COMPONENT_EDGE_THRESHOLD = 1e-8
@@ -39,7 +41,8 @@ class AffinityGraph:
     entries >= 0 (False at a NaN), then the column sums (inf at an inf
     entry, or where the sum overflows). Pre-constructed view graphs
     additionally have a zero diagonal; a learned structure may not.
-    Instances are treated as immutable after construction.
+    Instances are treated as immutable after construction. The support is
+    cached on the instance; the Laplacian is formed anew on each call.
     """
 
     matrix: np.ndarray | csr_array
@@ -68,23 +71,38 @@ class AffinityGraph:
 
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the nonzero entries, in row-major order:
-        k per column for a kNN view graph. Read from the CSR form, which
-        stores exactly these, in this order, for a dense matrix too."""
-        m = csr_array(self.matrix)
-        rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
-        cols, values = m.indices.astype(np.intp), m.data.copy()
+        """(rows, cols, values) of the nonzero entries, in column-major
+        order: k per column for a kNN view graph. Read from the CSC form,
+        which stores exactly these, in this order, for a dense matrix too."""
+        m = csc_array(self.matrix)
+        cols = np.repeat(np.arange(self.n), np.diff(m.indptr))
+        rows, values = m.indices.astype(np.intp), m.data.copy()
         return _read_only(rows), _read_only(cols), _read_only(values)
 
-    @cached_property
-    def _laplacian(self) -> np.ndarray:
-        m = self.matrix.toarray() if issparse(self.matrix) else self.matrix
-        lap = m + m.T
+    def laplacian_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of the Laplacian (``laplacian_of``), as a new writable
+        (hi - lo, n) array, formed from rows lo:hi and columns lo:hi of the
+        matrix alone. Each entry has the bits it has in the whole Laplacian:
+        a row's degree sums that same contiguous row of A."""
+        lap = self._pair_sums(lo, hi)
         lap *= 0.5
         degree = lap.sum(axis=1)
         np.subtract(0.0, lap, out=lap)  # 0 - a_ij, as diag(degree) - A has it
-        lap[np.diag_indices_from(lap)] += degree
-        return _read_only(lap)
+        lap[np.arange(hi - lo), np.arange(lo, hi)] += degree
+        return lap
+
+    def _pair_sums(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of S + S^T, as a new dense array. The transposed
+        columns are copied first: adding the rows into that copy reads both
+        operands in order, and the sum commutes, so the bits are those of
+        ``S[lo:hi] + S[:, lo:hi].T``."""
+        m = self.matrix
+        rows, cols = m[lo:hi], m[:, lo:hi]
+        if issparse(m):
+            rows, cols = rows.toarray(), cols.toarray()
+        pairs = cols.T.copy()
+        pairs += rows
+        return pairs
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -113,9 +131,10 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     Ties in distance go to the lower sample index: the neighbors are the
     first k samples of a stable sort of column j's squared distances.
     Selection costs O(n^2) after the O(n^2 d) distances: a partial
-    selection picks each column's k nearest, and only columns with a tie
+    selection picks each sample's k nearest, and only samples with a tie
     at the k-th distance, where that pick is ambiguous, are fully sorted.
-    The graph is returned as a CSR array of its n k entries.
+    It holds the n x n distances and temporaries of one block of rows. The
+    graph is returned as a CSR array of its n k entries.
     """
     x = np.asarray(x_v, dtype=float)
     if x.ndim != 2:
@@ -134,17 +153,24 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     d2 = squared_distances(x, x)
     np.fill_diagonal(d2, np.inf)
 
+    # d2 is exactly symmetric (x x^T is formed by a symmetric rank-k update,
+    # and ||x_i||^2 + ||x_j||^2 commutes), so column j's neighbors are picked
+    # along row j, which is contiguous, one block of rows at a time.
     k = k_neighbors
-    neighbors = np.argpartition(d2, k - 1, axis=0)[:k]
-    ndist = np.take_along_axis(d2, neighbors, axis=0)
-    # Row k-1 holds each column's k-th smallest distance. Where more than k
-    # samples lie within it (a tie at the k-th distance) or it is not
-    # finite, the pick may differ from the stable sort's; sort those columns.
-    tied = np.flatnonzero((d2 <= ndist[-1]).sum(axis=0) != k)
-    order = np.lexsort((neighbors, ndist), axis=0)  # by distance, then index
-    neighbors = np.take_along_axis(neighbors, order, axis=0)
-    if tied.size:
-        neighbors[:, tied] = np.argsort(d2[:, tied], axis=0, kind="stable")[:k]
+    neighbors = np.empty((k, n), dtype=np.intp)
+    for lo, hi in _row_blocks(n, n):
+        block = d2[lo:hi]
+        picked = np.argpartition(block, k - 1, axis=1)[:, :k]
+        pdist = np.take_along_axis(block, picked, axis=1)
+        # Column k-1 holds each row's k-th smallest distance. Where more than
+        # k samples lie within it (a tie at the k-th distance) or it is not
+        # finite, the pick may differ from the stable sort's; sort those rows.
+        tied = np.flatnonzero((block <= pdist[:, -1:]).sum(axis=1) != k)
+        order = np.lexsort((picked, pdist), axis=1)  # by distance, then index
+        picked = np.take_along_axis(picked, order, axis=1)
+        if tied.size:
+            picked[tied] = np.argsort(block[tied], axis=1, kind="stable")[:, :k]
+        neighbors[:, lo:hi] = picked.T
     cols = np.arange(n)[None, :]
     ndist = d2[neighbors, cols]
     scale = ndist[-1, :]  # squared distance to the k-th neighbor
@@ -162,25 +188,32 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
 def laplacian_of(s: AffinityGraph) -> np.ndarray:
     """Laplacian D - A of the symmetrized weights A = (S + S^T)/2, with
     D = diag(row sums of A): exactly symmetric, PSD, zero row sums up to
-    round-off. Formed once per graph and cached on it, read-only. A CSR
-    graph is densified first, so its Laplacian is bitwise its dense form's."""
-    return s._laplacian
+    round-off. A new writable n x n array on each call, not cached: rows
+    0..n of ``AffinityGraph.laplacian_rows``. A CSR graph gives bitwise its
+    dense form's Laplacian."""
+    return s.laplacian_rows(0, s.n)
 
 
 def connected_components(s: AffinityGraph) -> int:
     """Number of connected components of the thresholded undirected graph.
 
     Samples i and j are adjacent iff (S_ij + S_ji)/2 > COMPONENT_EDGE_THRESHOLD;
-    the count is found by graph traversal. Off the diagonal that weight is
-    exactly -L_ij of the cached Laplacian, so the adjacency is read off it
-    in CSR form without a dense conversion. L is exactly symmetric, so the
-    strong components of that directed graph are the undirected ones, found
-    without scipy's symmetrizing copy.
+    the count is found by graph traversal. The adjacency is read off S + S^T
+    one block of rows at a time, with no Laplacian and no second n x n
+    array: halving and doubling are exact, so S_ij + S_ji > 2 t is the
+    same test.
+    A self-loop (the diagonal) does not change the count. The adjacency is
+    exactly symmetric, so the strong components of that directed graph are
+    the undirected ones, found without scipy's symmetrizing copy.
     """
     n = s.n
-    edges = np.flatnonzero(laplacian_of(s) < -COMPONENT_EDGE_THRESHOLD)
-    indptr = np.searchsorted(edges, np.arange(0, n * n + 1, n))
-    adjacency = csr_matrix((np.ones(edges.size, dtype=np.int8), edges % n, indptr),
+    edges = np.concatenate([
+        np.flatnonzero(s._pair_sums(lo, hi) > 2.0 * COMPONENT_EDGE_THRESHOLD) + lo * n
+        for lo, hi in _row_blocks(n, n)])
+    # float64 data and int32 indices, the types csgraph works in, so that it
+    # makes no converted copy.
+    indptr = np.searchsorted(edges, np.arange(0, n * n + 1, n)).astype(np.int32)
+    adjacency = csr_matrix((np.ones(edges.size), (edges % n).astype(np.int32), indptr),
                            shape=(n, n))
     count, _ = csgraph.connected_components(adjacency, directed=True, connection="strong")
     return int(count)

@@ -1,9 +1,15 @@
 """Dense numerical kernels: squared distances, symmetric eigensolves, SPD
 solves, and exact Euclidean projection onto the probability simplex.
 
-All functions are pure and operate on plain float ndarrays. Square inputs
-are symmetrized on entry, which tolerates round-off asymmetry and is their one
-finiteness check (``symmetrized``: NumericError on a NaN, inf or overflow).
+All functions operate on plain float ndarrays and leave their inputs
+unchanged, unless asked to overwrite one (``smallest_k_eigen``). Square
+inputs are symmetrized on entry, which tolerates round-off asymmetry and is
+their one finiteness check (``symmetrized``: NumericError on a NaN, inf or
+overflow).
+
+Passes over an n x n array run one block of rows at a time
+(``_row_blocks``), so their temporaries hold about BLOCK_ITEMS doubles
+(256 KB) rather than another n x n array. A matrix that small is one block.
 """
 
 import numpy as np
@@ -14,16 +20,51 @@ from .errors import NumericError
 # Relative Tikhonov ridge applied once when a Cholesky factorization fails.
 SPD_RIDGE_SCALE = 1e-10
 
+# Doubles in one block's temporaries (256 KB).
+BLOCK_ITEMS = 32768
+
+
+def _row_blocks(rows: int, row_items: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive blocks of rows, each of about
+    BLOCK_ITEMS items at row_items per row, covering 0..rows.
+
+    No block is one row wide unless the whole is: numpy may sum a lone row
+    or column in a different order than it sums it inside a wider block.
+    So a block holds at least two rows, and a last block of one row is
+    merged into the block before it.
+    """
+    size = max(BLOCK_ITEMS // max(row_items, 1), 2)
+    bounds = [(lo, min(lo + size, rows)) for lo in range(0, rows, size)]
+    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] == 1:
+        bounds[-2:] = [(bounds[-2][0], rows)]
+    return bounds
+
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d[i, j] = ||a_i - b_j||^2 between the rows of a and b, clipped at 0."""
+    """d[i, j] = ||a_i - b_j||^2 between the rows of a and b, clipped at 0.
+
+    Formed in the one array that holds the cross product a b^T: each block
+    of its rows becomes (||a_i||^2 + ||b_j||^2) - 2 a_i . b_j in place.
+    """
     sq_a = np.sum(a * a, axis=1)
     sq_b = sq_a if b is a else np.sum(b * b, axis=1)
-    cross = a @ b.T
-    cross *= 2.0
-    d = sq_a[:, None] + sq_b[None, :]
-    d -= cross
+    d = a @ b.T
+    d *= 2.0
+    for lo, hi in _row_blocks(*d.shape):
+        np.subtract(sq_a[lo:hi, None] + sq_b[None, :], d[lo:hi], out=d[lo:hi])
     return np.maximum(d, 0.0, out=d)
+
+
+def _square(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise NumericError("matrix has non-finite entries or overflows")
 
 
 def symmetrized(a: np.ndarray) -> np.ndarray:
@@ -31,24 +72,46 @@ def symmetrized(a: np.ndarray) -> np.ndarray:
 
     Raises ValueError if a is not square, NumericError if the result is not finite.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _square(a)
     with np.errstate(over="ignore", invalid="ignore"):
         sym = a + a.T
         sym *= 0.5
-    if not np.isfinite(sym).all():
-        raise NumericError("matrix has non-finite entries or overflows")
+    _check_finite(sym)
     return sym
 
 
-def smallest_k_eigen(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """m <- (m + m.T) / 2 in place, one block of rows and its mirror block of
+    columns at a time; returns m. Every entry has the bits ``symmetrized``
+    gives it: the transposed block is copied first and the rows are added
+    into it, and the addition commutes. Raises NumericError as
+    ``symmetrized`` does, leaving m partly overwritten."""
+    n = m.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _row_blocks(n, n):
+            part = m[lo:, lo:hi].T.copy()
+            part += m[lo:hi, lo:]
+            part *= 0.5
+            _check_finite(part)
+            m[lo:hi, lo:] = part
+            m[lo:, lo:hi] = part.T
+    return m
+
+
+def smallest_k_eigen(
+    m: np.ndarray, k: int, overwrite_m: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs for the k smallest eigenvalues of a symmetric matrix.
 
     Parameters
     ----------
     m : (n, n) array, symmetrized internally.
     k : number of eigenpairs, 1 <= k <= n.
+    overwrite_m : whether m may serve as the work array, as scipy's
+        ``overwrite_a``. With True, a writable float64 m is symmetrized in
+        place, with the same check and the same bits as a copy would get,
+        and then destroyed by the eigensolve; so the call holds no second
+        n x n array. With False (the default) m is left unchanged.
 
     Returns
     -------
@@ -57,11 +120,15 @@ def smallest_k_eigen(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     largest-magnitude entry is positive, which makes outputs deterministic
     up to degenerate eigenvalue ties.
     """
-    m = symmetrized(m)
+    if overwrite_m:
+        m = _square(m)
+        m = _symmetrize(m if m.flags.writeable else m.copy())
+    else:
+        m = symmetrized(m)
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    # m is an exactly symmetric copy owned here: its transpose, the same
+    # m is exactly symmetric and free to overwrite: its transpose, the same
     # matrix in Fortran order, is factored in place.
     vals, vecs = linalg.eigh(m.T, subset_by_index=(0, k - 1), overwrite_a=True,
                              check_finite=False)

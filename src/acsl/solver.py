@@ -44,7 +44,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .graph import AffinityGraph, connected_components, laplacian_of
-from .numerics import project_simplex_columns, smallest_k_eigen, solve_spd, squared_distances
+from .numerics import (
+    _row_blocks, project_simplex_columns, smallest_k_eigen, solve_spd, squared_distances,
+)
 
 
 @dataclass(frozen=True)
@@ -137,25 +139,32 @@ def _fused_columns(views: list[AffinityGraph], w: np.ndarray) -> np.ndarray:
 def _view_grams(s: np.ndarray, views: list[AffinityGraph]) -> np.ndarray:
     """The (n, V, V) Grams G_j[v, u] = (s_j - s_j^v) . (s_j - s_j^u).
 
-    Each difference s - S^v is formed in one of two n x n buffers that hold
+    G_j reads column j alone, so the columns are taken one block at a time.
+    Each difference s - S^v is formed in one of two block buffers that hold
     s off the current view's support: a view moves in by subtracting its
-    values there and out by restoring s, at O(n k) each, so no (V, n, n)
-    stack is formed. Each pair (v, u) with u <= v costs one O(n^2) column
+    values there and out by restoring s, so no (V, n, n) stack and no n x n
+    buffer is formed. Each pair (v, u) with u <= v costs one column
     contraction, whose sums run in the same order as a batched
     ``einsum("vij,uij->jvu")`` over the stack.
     """
-    grams = np.empty((len(s), len(views), len(views)))
-    outer, inner = s.copy(), s.copy()
-    for v, g in enumerate(views):
-        rows, cols, values = g.support
-        outer[rows, cols] -= values
-        grams[:, v, v] = np.einsum("ij,ij->j", outer, outer)
-        for u, h in enumerate(views[:v]):
-            h_rows, h_cols, h_values = h.support
-            inner[h_rows, h_cols] -= h_values
-            grams[:, v, u] = grams[:, u, v] = np.einsum("ij,ij->j", outer, inner)
-            inner[h_rows, h_cols] = s[h_rows, h_cols]
-        outer[rows, cols] = s[rows, cols]
+    n = len(s)
+    grams = np.empty((n, len(views), len(views)))
+    for lo, hi in _row_blocks(n, n):
+        block = []  # each view's support in these columns: a slice, in column order
+        for g in views:
+            rows, cols, values = g.support
+            a, b = np.searchsorted(cols, (lo, hi))
+            block.append((rows[a:b], cols[a:b] - lo, values[a:b]))
+        base = s[:, lo:hi]
+        outer, inner = base.copy(), base.copy()
+        for v, (rows, cols, values) in enumerate(block):
+            outer[rows, cols] -= values
+            grams[lo:hi, v, v] = np.einsum("ij,ij->j", outer, outer)
+            for u, (h_rows, h_cols, h_values) in enumerate(block[:v]):
+                inner[h_rows, h_cols] -= h_values
+                grams[lo:hi, v, u] = grams[lo:hi, u, v] = np.einsum("ij,ij->j", outer, inner)
+                inner[h_rows, h_cols] = base[h_rows, h_cols]
+            outer[rows, cols] = base[rows, cols]
     return grams
 
 
@@ -249,6 +258,10 @@ def _embedding_operator(
     Q^{-1} X^T F = D X^T K^{-1} F (module docstring). Otherwise P comes from
     Q^{-1} X^T itself, not from the residual X^T C F, whose round-off
     (gamma G)^{-1} would amplify. ``smallest_k_eigen`` symmetrizes and checks it.
+
+    alpha L_S is added one block of rows at a time, each formed from S
+    (``AffinityGraph.laplacian_rows``), so the operator is the only n x n
+    array formed here.
     """
     n = x.shape[0]
     if _uses_dual_form(x):
@@ -266,7 +279,10 @@ def _embedding_operator(
         np.subtract(0.0, operator, out=operator)  # I - X back, with no n x n I
         operator[np.diag_indices(n)] += 1.0
         operator *= hp.beta
-    operator += hp.alpha * laplacian_of(s)
+    for lo, hi in _row_blocks(n, n):
+        part = s.laplacian_rows(lo, hi)
+        part *= hp.alpha
+        operator[lo:hi] += part
     return operator, project
 
 
@@ -288,10 +304,11 @@ def update_f(
     also gives the matching P = Q^{-1} X^T F: when d > n, X^T C = (Q - X^T X)
     Q^{-1} X^T = gamma G Q^{-1} X^T turns it into P = (gamma G)^{-1} X^T
     (C F) with C = K^{-1}, for O(n^2 k + n d k). So the update costs
-    O(min(n, d)^3 + n d min(n, d)) plus the eigensolve.
+    O(min(n, d)^3 + n d min(n, d)) plus the eigensolve, which works in
+    the operator's own array.
     """
     m, project = _embedding_operator(state.s, x, state.gamma_diag, hp)
-    _, f = smallest_k_eigen(m, hp.k)
+    _, f = smallest_k_eigen(m, hp.k, overwrite_m=True)
     return f, project(f)
 
 
@@ -322,7 +339,7 @@ def update_s(
     shifted = _fused_columns(views, state.w)
     # In place, with the same scalar (so the same bits): the first elided
     # temporary of a process raises its peak RSS. The shift is dropped
-    # before the projection, whose buffers set the fit's peak.
+    # before the projection, which forms one more n x n array.
     shift = squared_distances(state.f, state.f)
     shift *= 0.25 * hp.alpha
     shifted -= shift
@@ -379,10 +396,14 @@ def objective(
 
     fusion residual + alpha * Tr(F^T L_S F) + beta * (||X P - F||^2
     + gamma * sum of row norms of P).
+
+    The fusion residual is dropped before L_S is formed, so at most one
+    n x n array besides S is held at a time.
     """
     resid_s = _fused_columns(views, state.w)
     np.subtract(state.s.matrix, resid_s, out=resid_s)
     fusion = float(np.sum(np.square(resid_s, out=resid_s)))
+    del resid_s
     lap = laplacian_of(state.s)
     spectral = float(np.sum(state.f * (lap @ state.f)))
     resid_f = x @ state.p - state.f
@@ -460,6 +481,7 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
         try:
             state.p, state.gamma_diag = update_p(state, x, current)
             state.f, state.p = update_f(state, x, current)
+            state.s = None  # update_s does not read it; its array is freed first
             state.s = update_s(state, views, current)
             state.w = update_w(state, views)
         except NumericError as exc:

@@ -1,4 +1,8 @@
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -268,6 +272,19 @@ def test_grid_workers_write_the_same_files_as_a_serial_grid(synthetic_manifest, 
                       if p.is_file()}
     assert len([p for p in runs[1] if p.name == "results.json"]) == 8
     assert runs[1] == runs[2]
+
+
+def test_importing_acsl_leaves_the_process_pool_unloaded():
+    # concurrent.futures.process costs about 0.7 MB of RSS in every process
+    # that loads it; only a parallel grid (jobs > 1) imports it.
+    code = ("import sys\n"
+            "import acsl\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_results_json_is_versioned(synthetic_manifest, tmp_path):

@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph, csr_array, csr_matrix
+from scipy.sparse import csgraph, csr_array, csr_matrix, issparse
 
 from acsl.errors import ConfigError
 from acsl.graph import (
@@ -122,6 +122,20 @@ def test_affinity_is_bitwise_the_stable_sort_knn(seed):
     for k in sorted({1, n - 1, max(1, n // 2), min(n - 1, 10)}):
         got = build_view_affinity(x, k).matrix.toarray()
         assert got.tobytes() == _stable_sort_affinity(x, k).tobytes(), (n, k)
+
+
+@pytest.mark.parametrize("kind", ["normal", "grid", "fortran"])
+def test_affinity_is_bitwise_the_stable_sort_knn_over_several_row_blocks(kind):
+    # Neighbors are picked along rows, 104 at a time at n = 313.
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(313, 4))
+    if kind == "grid":  # many equal distances, so many tied rows
+        x = np.round(x)
+    elif kind == "fortran":
+        x = np.asfortranarray(x)
+    for k in (1, 10, 50):
+        got = build_view_affinity(x, k).matrix.toarray()
+        assert got.tobytes() == _stable_sort_affinity(x, k).tobytes(), k
 
 
 def test_affinity_ties_go_to_the_lower_index():
@@ -266,11 +280,38 @@ def test_laplacian_is_bitwise_the_dense_formula():
         assert np.array_equal(np.signbit(lap), np.signbit(expected))
 
 
+def _assert_laplacian_is_formed_anew(g):
+    # Not cached: two calls are bitwise equal and distinct, and writing into
+    # one changes neither the graph nor the next call.
+    first, second = laplacian_of(g), laplacian_of(g)
+    assert first is not second and first.tobytes() == second.tobytes()
+    matrix = dense(g).copy()
+    first[:] = 7.0
+    assert np.array_equal(dense(g), matrix)
+    assert laplacian_of(g).tobytes() == second.tobytes()
+
+
+def test_laplacian_row_blocks_stitch_to_bitwise_the_whole_laplacian():
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(313, 5))
+    for g in (*_test_graphs(rng), random_affinity(rng, 313), build_view_affinity(x, 10)):
+        lap = laplacian_of(g)
+        n = g.n
+        assert not np.array_equal(dense(g), dense(g).T)  # asymmetric S
+        cuts = np.unique(np.concatenate([[0, n], rng.integers(0, n + 1, size=4)]))
+        for bounds in (list(zip(cuts[:-1], cuts[1:])), [(i, i + 1) for i in range(n)]):
+            rows = np.vstack([g.laplacian_rows(lo, hi) for lo, hi in bounds])
+            assert rows.tobytes() == lap.tobytes()
+        if issparse(g.matrix):
+            dense_lap = laplacian_of(AffinityGraph(g.matrix.toarray()))
+            assert dense_lap.tobytes() == lap.tobytes()
+
+
 def test_derived_arrays_are_cached_and_read_only():
     g = build_view_affinity(np.random.default_rng(19).normal(size=(20, 4)), 5)
-    assert laplacian_of(g) is laplacian_of(g)
+    _assert_laplacian_is_formed_anew(g)
     assert g.support is g.support
-    for a in (laplacian_of(g), *g.support):
+    for a in g.support:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -288,8 +329,8 @@ def test_pickled_view_graph_round_trips():
     assert np.array_equal(h.matrix.toarray(), g.matrix.toarray())
     assert np.array_equal(laplacian_of(h), lap)
     assert all(np.array_equal(a, b) for a, b in zip(h.support, support))
-    # Derived arrays are recomputed, not carried over, so they stay read-only.
-    assert not laplacian_of(h).flags.writeable
+    # The support is recomputed, not carried over, so it stays read-only.
+    _assert_laplacian_is_formed_anew(h)
     assert not any(a.flags.writeable for a in h.support)
 
 

@@ -5,6 +5,8 @@ from scipy.optimize import minimize
 
 from acsl.errors import NumericError
 from acsl.numerics import (
+    BLOCK_ITEMS,
+    _row_blocks,
     project_simplex,
     project_simplex_columns,
     smallest_k_eigen,
@@ -29,6 +31,35 @@ def test_squared_distances_match_the_row_differences():
     assert (own >= 0).all() and np.abs(np.diag(own)).max() <= 1e-12
 
 
+def test_squared_distances_are_bitwise_the_whole_formula_over_row_blocks():
+    rng = np.random.default_rng(41)
+    a, b = rng.normal(size=(313, 6)), rng.normal(size=(200, 6))
+    assert len(_row_blocks(313, 313)) == 3 and len(_row_blocks(313, 200)) == 2
+    for left, right in ((a, a), (a, b)):
+        sq_l, sq_r = np.sum(left * left, axis=1), np.sum(right * right, axis=1)
+        whole = np.maximum(sq_l[:, None] + sq_r[None, :] - 2.0 * (left @ right.T), 0.0)
+        got = squared_distances(left, right)
+        assert got.tobytes() == whole.tobytes()
+    own = squared_distances(a, a)
+    assert np.array_equal(own, own.T)
+
+
+# -------------------------------------------------------------------- blocks
+
+@pytest.mark.parametrize("rows, row_items", [(1, 5), (150, 150), (313, 313), (900, 900),
+                                             (1000, 40), (7, 10 ** 6)])
+def test_row_blocks_cover_the_rows_within_the_item_budget(rows, row_items):
+    bounds = _row_blocks(rows, row_items)
+    assert bounds[0][0] == 0 and bounds[-1][1] == rows
+    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+    widths = [hi - lo for lo, hi in bounds]
+    assert len(bounds) == 1 or min(widths) >= 2  # no lone row: it is merged
+    size = max(BLOCK_ITEMS // row_items, 2)
+    assert max(widths) <= size + 1
+    if rows * row_items <= BLOCK_ITEMS:
+        assert bounds == [(0, rows)]
+
+
 # ---------------------------------------------------------------- eigensolve
 
 def test_smallest_k_eigen_is_bitwise_eigh_and_leaves_its_input_unchanged():
@@ -41,6 +72,36 @@ def test_smallest_k_eigen_is_bitwise_eigh_and_leaves_its_input_unchanged():
                                      check_finite=False)
     assert np.array_equal(vals, ref_vals)
     assert np.array_equal(np.abs(vecs), np.abs(ref_vecs))
+
+
+@pytest.mark.parametrize("n", [25, 313, 400])
+def test_smallest_k_eigen_overwrite_gives_bitwise_the_default_eigenpairs(n):
+    # 25 is one block; 313 and 400 are several, 313 with a merged last row.
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n, n))
+    vals, vecs = smallest_k_eigen(m, 3)
+    work = m.copy()
+    got_vals, got_vecs = smallest_k_eigen(work, 3, overwrite_m=True)
+    assert got_vals.tobytes() == vals.tobytes() and got_vecs.tobytes() == vecs.tobytes()
+    # A read-only input cannot serve as the work array: it is copied, not changed.
+    frozen = m.copy()
+    frozen.flags.writeable = False
+    assert smallest_k_eigen(frozen, 3, overwrite_m=True)[1].tobytes() == vecs.tobytes()
+    assert np.array_equal(frozen, m)
+    fortran = np.asfortranarray(m)
+    assert smallest_k_eigen(fortran, 3, overwrite_m=True)[1].tobytes() == vecs.tobytes()
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e308])
+@pytest.mark.parametrize("where", [(0, 1), (311, 2), (150, 312)])
+def test_smallest_k_eigen_overwrite_rejects_non_finite(entry, where):
+    # The same NumericError as the default, in whichever block the entry lies.
+    m = np.eye(313)
+    i, j = where
+    m[i, j] = m[j, i] = entry
+    for overwrite in (False, True):
+        with pytest.raises(NumericError, match="overflows"):
+            smallest_k_eigen(m.copy(), 1, overwrite_m=overwrite)
 
 
 def test_smallest_k_eigen_diagonal_single():

@@ -10,7 +10,9 @@ from acsl import solver
 from acsl.errors import ConfigError, NumericError
 from acsl.data import zscore_columns
 from acsl.graph import AffinityGraph, build_view_affinity, connected_components, laplacian_of
-from acsl.numerics import project_simplex, project_simplex_columns, solve_spd, squared_distances
+from acsl.numerics import (
+    _row_blocks, project_simplex, project_simplex_columns, solve_spd, squared_distances,
+)
 from acsl.synthetic import generate_synthetic
 from acsl.solver import (
     Hyperparams,
@@ -893,8 +895,11 @@ def test_fit_on_csr_views_is_bitwise_the_fit_on_dense_views(shape):
 
 
 def test_view_grams_are_bitwise_the_batched_einsum_over_the_stack():
+    # At n = 313 the columns come in 3 blocks, the last of which took in a
+    # block one column wide.
+    assert _row_blocks(313, 313) == [(0, 104), (104, 208), (208, 313)]
     rng = np.random.default_rng(53)
-    for n in (31, 257):
+    for n in (31, 257, 313):
         views = [build_view_affinity(rng.normal(size=(n, 4)), 10) for _ in range(2)]
         views.append(random_affinity(rng, n))
         s = random_affinity(rng, n).matrix
@@ -904,8 +909,9 @@ def test_view_grams_are_bitwise_the_batched_einsum_over_the_stack():
 
 def test_fit_and_view_graphs_stay_within_their_memory_bounds():
     # In units of one n x n array of doubles: three kNN view graphs hold at
-    # most 0.2 of one, a fit's traced peak is at most 5.5 of them, and
-    # update_w adds at most 2.5 (its two buffers, no (V, n, n) stack).
+    # most 0.2 of one, a fit's traced peak is at most 2.5 of them (S and one
+    # work array), and update_w adds at most 0.5 (two column blocks, no
+    # n x n buffer).
     dataset, _ = generate_synthetic(200, 3, [(10, 1.0, 0.5)] * 3, seed=0)
     mats = [zscore_columns(v) for v in dataset.views]
     x = np.hstack(mats)
@@ -930,5 +936,5 @@ def test_fit_and_view_graphs_stay_within_their_memory_bounds():
         if not tracing:
             tracemalloc.stop()
     assert held <= 0.2 * unit
-    assert peak <= 5.5 * unit
-    assert peak_w <= 2.5 * unit
+    assert peak <= 2.5 * unit
+    assert peak_w <= 0.5 * unit
