@@ -81,28 +81,34 @@ class AffinityGraph:
 
     def laplacian_rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo:hi of the Laplacian (``laplacian_of``), as a new writable
-        (hi - lo, n) array, formed from rows lo:hi and columns lo:hi of the
-        matrix alone. Each entry has the bits it has in the whole Laplacian:
-        a row's degree sums that same contiguous row of A."""
-        lap = self._pair_sums(lo, hi)
+        (hi - lo, n) array, formed from rows lo:hi and columns lo:hi of a
+        dense matrix alone (a sparse one is first summed with its transpose,
+        sparse). Each entry has the bits it has in the whole Laplacian: a
+        row's degree sums that same contiguous row of A."""
+        lap = self._pair_sums()(lo, hi)
         lap *= 0.5
         degree = lap.sum(axis=1)
         np.subtract(0.0, lap, out=lap)  # 0 - a_ij, as diag(degree) - A has it
         lap[np.arange(hi - lo), np.arange(lo, hi)] += degree
         return lap
 
-    def _pair_sums(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of S + S^T, as a new dense array. The transposed
-        columns are copied first: adding the rows into that copy reads both
-        operands in order, and the sum commutes, so the bits are those of
-        ``S[lo:hi] + S[:, lo:hi].T``."""
+    def _pair_sums(self):
+        """A function of (lo, hi) that gives rows lo:hi of S + S^T as a new
+        dense array, with the bits of ``S[lo:hi] + S[:, lo:hi].T``: the sum
+        commutes, and adding an absent entry's 0 is exact. A sparse matrix
+        is summed once, sparse, and only the rows asked for are densified;
+        a dense one has its transposed columns copied first, so that adding
+        the rows into that copy reads both operands in order."""
         m = self.matrix
-        rows, cols = m[lo:hi], m[:, lo:hi]
         if issparse(m):
-            rows, cols = rows.toarray(), cols.toarray()
-        pairs = cols.T.copy()
-        pairs += rows
-        return pairs
+            pairs = csr_array(m + m.T)
+            return lambda lo, hi: pairs[lo:hi].toarray()
+
+        def rows(lo: int, hi: int) -> np.ndarray:
+            out = m[:, lo:hi].T.copy()
+            out += m[lo:hi]
+            return out
+        return rows
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -207,8 +213,9 @@ def connected_components(s: AffinityGraph) -> int:
     the undirected ones, found without scipy's symmetrizing copy.
     """
     n = s.n
+    pair_sums = s._pair_sums()
     edges = np.concatenate([
-        np.flatnonzero(s._pair_sums(lo, hi) > 2.0 * COMPONENT_EDGE_THRESHOLD) + lo * n
+        np.flatnonzero(pair_sums(lo, hi) > 2.0 * COMPONENT_EDGE_THRESHOLD) + lo * n
         for lo, hi in _row_blocks(n, n)])
     # float64 data and int32 indices, the types csgraph works in, so that it
     # makes no converted copy.

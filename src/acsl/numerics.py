@@ -73,29 +73,26 @@ def symmetrized(a: np.ndarray) -> np.ndarray:
     Raises ValueError if a is not square, NumericError if the result is not finite.
     """
     a = _square(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = a + a.T
-        sym *= 0.5
-    _check_finite(sym)
-    return sym
+    return _symmetrize(a, np.empty_like(a))
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """m <- (m + m.T) / 2 in place, one block of rows and its mirror block of
-    columns at a time; returns m. Every entry has the bits ``symmetrized``
-    gives it: the transposed block is copied first and the rows are added
-    into it, and the addition commutes. Raises NumericError as
-    ``symmetrized`` does, leaving m partly overwritten."""
-    n = m.shape[0]
+def _symmetrize(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- (a + a.T) / 2, one block of rows and its mirror block of
+    columns at a time; returns out, which may be a itself. A block reads
+    only entries that no earlier block has written. The transposed block
+    is copied first and the rows are added into it; the addition commutes,
+    so every entry has the bits of ``0.5 * (a + a.T)``. Raises NumericError
+    if an entry is not finite, leaving out partly written."""
+    n = a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _row_blocks(n, n):
-            part = m[lo:, lo:hi].T.copy()
-            part += m[lo:hi, lo:]
+            part = a[lo:, lo:hi].T.copy()
+            part += a[lo:hi, lo:]
             part *= 0.5
             _check_finite(part)
-            m[lo:hi, lo:] = part
-            m[lo:, lo:hi] = part.T
-    return m
+            out[lo:hi, lo:] = part
+            out[hi:, lo:hi] = part[:, hi - lo:].T
+    return out
 
 
 def smallest_k_eigen(
@@ -120,11 +117,8 @@ def smallest_k_eigen(
     largest-magnitude entry is positive, which makes outputs deterministic
     up to degenerate eigenvalue ties.
     """
-    if overwrite_m:
-        m = _square(m)
-        m = _symmetrize(m if m.flags.writeable else m.copy())
-    else:
-        m = symmetrized(m)
+    m = _square(m)
+    m = _symmetrize(m, m if overwrite_m and m.flags.writeable else np.empty_like(m))
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,4 +393,27 @@ def test_components_match_the_dense_threshold_reference():
         g = AffinityGraph(matrix=m)
         counts.add(connected_components(g))
         assert connected_components(g) == _dense_component_count(g)
+        assert connected_components(AffinityGraph(csr_array(m))) == _dense_component_count(g)
     assert len(counts) > 1
+
+
+def test_view_graph_laplacian_and_components_hold_at_most_one_dense_array():
+    # A CSR graph is summed once, sparse: the Laplacian is its one dense
+    # n x n array, and the component count densifies one block of rows at a time.
+    g = build_view_affinity(np.random.default_rng(25).normal(size=(600, 5)), 10)
+    unit = 8 * g.n ** 2
+    peaks = []
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for call in (laplacian_of, connected_components):
+            call(g)  # first-call costs, unmeasured
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call(g)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.2 * unit
+    assert peaks[1] <= 0.3 * unit
