@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import csc_array, csgraph, csr_array, csr_matrix, issparse
 
 from .errors import ConfigError, require_integers
-from .numerics import _row_blocks, squared_distances
+from .numerics import _pair_rows, _row_blocks, squared_distances
 
 # Symmetrized edge weights above this count as edges when counting components.
 COMPONENT_EDGE_THRESHOLD = 1e-8
@@ -97,18 +97,12 @@ class AffinityGraph:
         dense array, with the bits of ``S[lo:hi] + S[:, lo:hi].T``: the sum
         commutes, and adding an absent entry's 0 is exact. A sparse matrix
         is summed once, sparse, and only the rows asked for are densified;
-        a dense one has its transposed columns copied first, so that adding
-        the rows into that copy reads both operands in order."""
+        a dense one's rows come from ``numerics._pair_rows``."""
         m = self.matrix
         if issparse(m):
             pairs = csr_array(m + m.T)
             return lambda lo, hi: pairs[lo:hi].toarray()
-
-        def rows(lo: int, hi: int) -> np.ndarray:
-            out = m[:, lo:hi].T.copy()
-            out += m[lo:hi]
-            return out
-        return rows
+        return lambda lo, hi: _pair_rows(m, lo, hi)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -214,13 +208,17 @@ def connected_components(s: AffinityGraph) -> int:
     """
     n = s.n
     pair_sums = s._pair_sums()
-    edges = np.concatenate([
-        np.flatnonzero(pair_sums(lo, hi) > 2.0 * COMPONENT_EDGE_THRESHOLD) + lo * n
-        for lo, hi in _row_blocks(n, n)])
+    degrees, columns = [], []
+    for lo, hi in _row_blocks(n, n):
+        # flat indices in this block, row-major: row r's lie in [r n, (r + 1) n)
+        flat = np.flatnonzero(pair_sums(lo, hi) > 2.0 * COMPONENT_EDGE_THRESHOLD)
+        degrees.append(np.diff(np.searchsorted(flat, np.arange(0, (hi - lo + 1) * n, n))))
+        columns.append((flat % n).astype(np.int32))
     # float64 data and int32 indices, the types csgraph works in, so that it
-    # makes no converted copy.
-    indptr = np.searchsorted(edges, np.arange(0, n * n + 1, n)).astype(np.int32)
-    adjacency = csr_matrix((np.ones(edges.size), (edges % n).astype(np.int32), indptr),
-                           shape=(n, n))
+    # makes no converted copy; no index runs over the n^2 entries.
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(degrees), out=indptr[1:])
+    columns = np.concatenate(columns)
+    adjacency = csr_matrix((np.ones(columns.size), columns, indptr), shape=(n, n))
     count, _ = csgraph.connected_components(adjacency, directed=True, connection="strong")
     return int(count)

@@ -76,18 +76,25 @@ def symmetrized(a: np.ndarray) -> np.ndarray:
     return _symmetrize(a, np.empty_like(a))
 
 
+def _pair_rows(a: np.ndarray, lo: int, hi: int, start: int = 0) -> np.ndarray:
+    """Rows lo:hi of a + a.T from column start on, as a new array: the
+    transposed columns copied first, the rows added into that copy. The sum
+    commutes, so every entry has the bits of ``(a + a.T)[lo:hi, start:]``."""
+    out = a[start:, lo:hi].T.copy()
+    out += a[lo:hi, start:]
+    return out
+
+
 def _symmetrize(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out <- (a + a.T) / 2, one block of rows and its mirror block of
-    columns at a time; returns out, which may be a itself. A block reads
-    only entries that no earlier block has written. The transposed block
-    is copied first and the rows are added into it; the addition commutes,
-    so every entry has the bits of ``0.5 * (a + a.T)``. Raises NumericError
+    columns at a time (``_pair_rows``), so every entry has the bits of
+    ``0.5 * (a + a.T)``; returns out, which may be a itself. A block reads
+    only entries that no earlier block has written. Raises NumericError
     if an entry is not finite, leaving out partly written."""
     n = a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _row_blocks(n, n):
-            part = a[lo:, lo:hi].T.copy()
-            part += a[lo:hi, lo:]
+            part = _pair_rows(a, lo, hi, start=lo)
             part *= 0.5
             _check_finite(part)
             out[lo:hi, lo:] = part
@@ -135,29 +142,31 @@ def smallest_k_eigen(
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ y = b for symmetric positive definite a via Cholesky.
 
-    If the first factorization fails, a ridge delta * I with
+    a is left unchanged. The factorization overwrites the exactly symmetric
+    copy that ``symmetrized`` makes, through its transpose (the same matrix
+    in Fortran order, as in ``smallest_k_eigen``), so no third n x n array
+    is formed. If it fails, the copy is made again, a ridge delta * I with
     delta = SPD_RIDGE_SCALE * trace(a) / n is added once and the
     factorization retried. A second failure raises NumericError carrying
     the offending leading minor and the smallest eigenvalue.
     """
-    a = symmetrized(a)
+    sym = symmetrized(a)
+    n = len(sym)
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"right-hand side has {b.shape[0]} rows, matrix is {a.shape[0]}x{a.shape[0]}"
-        )
+    if b.shape[0] != n:
+        raise ValueError(f"right-hand side has {b.shape[0]} rows, matrix is {n}x{n}")
     if not np.isfinite(b).all():
         raise ValueError("right-hand side has non-finite entries")
     try:
-        factor = linalg.cho_factor(a, lower=True, check_finite=False)
+        factor = linalg.cho_factor(sym.T, lower=True, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError as first:
-        n = a.shape[0]
-        delta = SPD_RIDGE_SCALE * np.trace(a) / n
-        ridged = a + delta * np.eye(n)
+        sym = symmetrized(a)
+        delta = SPD_RIDGE_SCALE * np.trace(sym) / n
+        ridged = sym + delta * np.eye(n)
         try:
             factor = linalg.cho_factor(ridged, lower=True, check_finite=False)
         except linalg.LinAlgError as exc:
-            smallest = linalg.eigvalsh(a, subset_by_index=(0, 0))[0]
+            smallest = linalg.eigvalsh(sym, subset_by_index=(0, 0))[0]
             raise NumericError(
                 f"matrix is not positive definite (ridge {delta:.3e} did not help): "
                 f"{first}; smallest eigenvalue {smallest:.6e}"

@@ -139,32 +139,23 @@ def _fused_columns(views: list[AffinityGraph], w: np.ndarray) -> np.ndarray:
 def _view_grams(s: np.ndarray, views: list[AffinityGraph]) -> np.ndarray:
     """The (n, V, V) Grams G_j[v, u] = (s_j - s_j^v) . (s_j - s_j^u).
 
-    G_j reads column j alone, so the columns are taken one block at a time.
-    Each difference s - S^v is formed in one of two block buffers that hold
-    s off the current view's support: a view moves in by subtracting its
-    values there and out by restoring s, so no (V, n, n) stack and no n x n
-    buffer is formed. Each pair (v, u) with u <= v costs one column
-    contraction, whose sums run in the same order as a batched
-    ``einsum("vij,uij->jvu")`` over the stack.
+    G_j reads column j alone, so the columns are taken b = BLOCK_ITEMS /
+    (n V / 2) at a time: their V differences s - S^v form one (V, n, b)
+    stack of about two BLOCK_ITEMS for any V (s broadcast into every layer,
+    then each view subtracts its values on its support), and one batched
+    ``einsum("vij,uij->jvu")`` gives their Grams, summed in the same order
+    as over the whole (V, n, n) stack, which is never formed.
     """
-    n = len(s)
-    grams = np.empty((n, len(views), len(views)))
-    for lo, hi in _row_blocks(n, n):
-        block = []  # each view's support in these columns: a slice, in column order
-        for g in views:
+    n, n_views = len(s), len(views)
+    grams = np.empty((n, n_views, n_views))
+    for lo, hi in _row_blocks(n, n * n_views // 2):
+        diffs = np.empty((n_views, n, hi - lo))
+        diffs[:] = s[:, lo:hi]
+        for diff, g in zip(diffs, views):
             rows, cols, values = g.support
-            a, b = np.searchsorted(cols, (lo, hi))
-            block.append((rows[a:b], cols[a:b] - lo, values[a:b]))
-        base = s[:, lo:hi]
-        outer, inner = base.copy(), base.copy()
-        for v, (rows, cols, values) in enumerate(block):
-            outer[rows, cols] -= values
-            grams[lo:hi, v, v] = np.einsum("ij,ij->j", outer, outer)
-            for u, (h_rows, h_cols, h_values) in enumerate(block[:v]):
-                inner[h_rows, h_cols] -= h_values
-                grams[lo:hi, v, u] = grams[lo:hi, u, v] = np.einsum("ij,ij->j", outer, inner)
-                inner[h_rows, h_cols] = base[h_rows, h_cols]
-            outer[rows, cols] = base[rows, cols]
+            a, b = np.searchsorted(cols, (lo, hi))  # these columns' support, a slice
+            diff[rows[a:b], cols[a:b] - lo] -= values[a:b]
+        grams[lo:hi] = np.einsum("vij,uij->jvu", diffs, diffs)
     return grams
 
 
@@ -181,13 +172,14 @@ def _uses_dual_form(x: np.ndarray) -> bool:
     return x.shape[1] > x.shape[0]
 
 
-def _dual_gram(
-    x: np.ndarray, gamma: float, gamma_diag: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K = I + X D X^T with D = (gamma * diag(gamma_diag))^{-1}.
+def _dual_solve(
+    x: np.ndarray, gamma: float, gamma_diag: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(K^{-1} b, sqrt(diag D)) with K = I + X D X^T, D = (gamma * diag(gamma_diag))^{-1}.
 
-    Built as Y Y^T + I with Y = X sqrt(D), a symmetric rank-d product.
-    Returns (K, sqrt(diag D), Y).
+    K is built as Y Y^T + I with Y = X sqrt(D), a symmetric rank-d product.
+    The n x d Y is dropped before K is factored; a caller that needs it
+    forms it again, with the same bits, as ``x * root``.
     """
     scaled = gamma * gamma_diag
     if not np.isfinite(scaled).all():  # an inf would give K = I: finite but wrong
@@ -195,8 +187,9 @@ def _dual_gram(
     root = 1.0 / np.sqrt(scaled)
     y = x * root
     k = y @ y.T
+    del y
     k[np.diag_indices_from(k)] += 1.0
-    return k, root, y
+    return solve_spd(k, b), root
 
 
 def _reweighting_of(p: np.ndarray, epsilon: float) -> np.ndarray:
@@ -215,8 +208,8 @@ def _solve_projection(
     P = D X^T K^{-1} F = sqrt(D) Y^T K^{-1} F.
     """
     if _uses_dual_form(x):
-        k, root, y = _dual_gram(x, gamma, gamma_diag)
-        return root[:, None] * (y.T @ solve_spd(k, f))
+        right, root = _dual_solve(x, gamma, gamma_diag, f)
+        return root[:, None] * ((x * root).T @ right)
     return solve_spd(_regularized_gram(x.T @ x, gamma, gamma_diag), x.T @ f)
 
 
@@ -265,10 +258,9 @@ def _embedding_operator(
     """
     n = x.shape[0]
     if _uses_dual_form(x):
-        k, root, y = _dual_gram(x, hp.gamma, gamma_diag)
-        complement = solve_spd(k, np.eye(n))
+        complement, root = _dual_solve(x, hp.gamma, gamma_diag, np.eye(n))
         def project(f: np.ndarray) -> np.ndarray:
-            return root[:, None] * (y.T @ (complement @ f))
+            return root[:, None] * ((x * root).T @ (complement @ f))
         operator = hp.beta * complement  # a copy: project keeps complement
     else:
         q = _regularized_gram(x.T @ x, hp.gamma, gamma_diag)

@@ -1,14 +1,17 @@
 """Traced peak memory of each block of one fit, in n x n arrays of doubles.
 
-One largen-shaped fit (n = 900: three 40-dimensional views, the third twice
-as noisy; k = 3, 10 neighbors, 4 outer iterations) runs under tracemalloc.
-Each block of the fit loop is measured from the memory held before the fit
-(the view graphs and the features) to its own peak, so a block's figure
-counts the similarity it holds as well as its temporaries. The script
-prints one line per block and the fit's peak, appends them to the file
-named by $GITHUB_STEP_SUMMARY when that is set, and exits 1 when any block
-exceeds BOUND. Its name keeps pytest from collecting it. Run it from the
-root of the repository:
+Two fits run under tracemalloc, each with k = 3, 10 neighbors and 4 outer
+iterations: a largen-shaped one (n = 900: three 40-dimensional views, the
+third twice as noisy), which solves in the primal form, and a
+highdim-shaped one (n = 300: two 300-dimensional views), which solves in
+the dual form (d > n). Each block of the fit loop is measured from the
+memory held before the fit (the view graphs and the features) to its own
+peak, so a block's figure counts the similarity it holds as well as its
+temporaries. The script prints one line per block and the fit's peak for
+each shape, appends them to the file named by $GITHUB_STEP_SUMMARY when
+that is set, and exits 1 when any block exceeds its shape's bound. Its
+name keeps pytest from collecting it. Run it from the root of the
+repository:
 
     OPENBLAS_NUM_THREADS=1 python tests/fit_memory.py
 
@@ -28,13 +31,17 @@ from acsl.data import zscore_columns
 from acsl.graph import build_view_affinity
 from acsl.synthetic import generate_synthetic
 
-BOUND = 2.5
 BLOCKS = ("update_p", "update_f", "update_s", "update_w", "objective", "connected_components")
+# name: (samples per cluster, views as (dims, noise, informative fraction),
+# bound in n x n arrays).
+SHAPES = {
+    "primal": (300, [(40, 6.0, 0.25)] * 2 + [(40, 12.0, 0.25)], 2.5),
+    "dual": (100, [(300, 2.5, 0.05), (300, 3.0, 0.05)], 5.5),
+}
 
 
-def block_peaks(n_per_cluster: int = 300) -> tuple[int, dict]:
+def block_peaks(n_per_cluster: int, views: list) -> tuple[int, dict]:
     """(n, {block: traced peak in n x n arrays}) of one fit, "fit" included."""
-    views = [(40, 6.0, 0.25)] * 2 + [(40, 12.0, 0.25)]
     dataset, _ = generate_synthetic(n_per_cluster, 3, views, seed=0)
     mats = [zscore_columns(v) for v in dataset.views]
     x = np.hstack(mats)
@@ -73,16 +80,20 @@ def block_peaks(n_per_cluster: int = 300) -> tuple[int, dict]:
 
 
 def main() -> int:
-    n, peaks = block_peaks()
-    lines = [f"fit memory at n = {n}, traced peak in n x n arrays (bound {BOUND}):"]
-    lines += [f"  {name}: {value:.2f}" for name, value in peaks.items()]
-    text = "\n".join(lines)
-    print(text)
-    summary = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary:
-        with open(summary, "a", encoding="utf-8") as out:
-            out.write("```\n" + text + "\n```\n")
-    return 0 if max(peaks.values()) <= BOUND else 1
+    failed = False
+    for name, (n_per_cluster, views, bound) in SHAPES.items():
+        n, peaks = block_peaks(n_per_cluster, views)
+        lines = [f"{name} fit memory at n = {n}, d = {sum(v[0] for v in views)}, "
+                 f"traced peak in n x n arrays (bound {bound}):"]
+        lines += [f"  {block}: {value:.2f}" for block, value in peaks.items()]
+        text = "\n".join(lines)
+        print(text)
+        summary = os.environ.get("GITHUB_STEP_SUMMARY")
+        if summary:
+            with open(summary, "a", encoding="utf-8") as out:
+                out.write("```\n" + text + "\n```\n")
+        failed |= max(peaks.values()) > bound
+    return int(failed)
 
 
 if __name__ == "__main__":

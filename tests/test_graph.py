@@ -417,3 +417,27 @@ def test_view_graph_laplacian_and_components_hold_at_most_one_dense_array():
             tracemalloc.stop()
     assert peaks[0] <= 1.2 * unit
     assert peaks[1] <= 0.3 * unit
+
+
+def test_component_count_on_a_dense_structure_holds_int32_edges():
+    # Each edge of a dense S costs an int32 column index and the 8-byte
+    # weight csgraph reads, with no index over all n^2 entries: three dense
+    # blocks (a third of the pairs are edges) take about half an n x n
+    # array, and a fully dense S about 1.5 of them.
+    rng = np.random.default_rng(26)
+    for g, bound in ((block_affinity(rng, [200] * 3), 0.55),
+                     (random_affinity(rng, 600), 1.55)):
+        unit = 8 * g.n ** 2
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            connected_components(g)  # first-call costs, unmeasured
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            count = connected_components(g)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert count == _dense_component_count(g)
+        assert peak <= bound * unit

@@ -232,6 +232,32 @@ def test_solve_spd_indefinite_raises_with_diagnostics():
     assert "smallest eigenvalue" in str(exc.value)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+def test_solve_spd_is_bitwise_the_solve_on_a_copy_and_leaves_its_inputs(layout):
+    # The factorization works in place in solve_spd's own symmetric copy:
+    # the bits are those of factoring a separate copy, on the plain path
+    # and on the ridge retry (a singular PSD matrix), and the inputs stay
+    # as they were.
+    rng = np.random.default_rng(41)
+    v = rng.normal(size=(40, 1))
+    for a in (random_spd(rng, 40), v @ v.T):
+        a = a + 1e-17 * rng.normal(size=a.shape)  # round-off asymmetry
+        b = rng.normal(size=(40, 3))
+        sym = 0.5 * (a + a.T)
+        try:
+            factor = linalg.cho_factor(sym, lower=True)
+        except linalg.LinAlgError:
+            delta = 1e-10 * np.trace(sym) / 40
+            factor = linalg.cho_factor(sym + delta * np.eye(40), lower=True)
+        expected = linalg.cho_solve(factor, b)
+        a = np.asfortranarray(a) if layout == "F" else a
+        a.flags.writeable = layout != "read-only"
+        b.flags.writeable = layout != "read-only"
+        a_before, b_before = a.copy(), b.copy()
+        assert solve_spd(a, b).tobytes() == expected.tobytes()
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+
 def test_solve_spd_shape_mismatch():
     with pytest.raises(ValueError):
         solve_spd(np.eye(3), np.ones((2, 1)))

@@ -17,7 +17,7 @@ from acsl.synthetic import generate_synthetic
 from acsl.solver import (
     Hyperparams,
     SolverState,
-    _dual_gram,
+    _dual_solve,
     _embedding_operator,
     _fused_columns,
     _regularized_gram,
@@ -361,9 +361,8 @@ def test_embedding_operator_is_bitwise_the_out_of_place_sum(n, d):
     m, project = _embedding_operator(state.s, x, state.gamma_diag, hp)
     lap = laplacian_of(state.s)
     if _uses_dual_form(x):
-        k, root, y = _dual_gram(x, hp.gamma, state.gamma_diag)
-        complement = solve_spd(k, np.eye(n))
-        p = root[:, None] * (y.T @ (complement @ state.f))
+        complement, root = _dual_solve(x, hp.gamma, state.gamma_diag, np.eye(n))
+        p = root[:, None] * ((x * root).T @ (complement @ state.f))
     else:
         back = solve_spd(_regularized_gram(x.T @ x, hp.gamma, state.gamma_diag), x.T)
         complement = np.eye(n) - x @ back
@@ -895,23 +894,29 @@ def test_fit_on_csr_views_is_bitwise_the_fit_on_dense_views(shape):
 
 
 def test_view_grams_are_bitwise_the_batched_einsum_over_the_stack():
-    # At n = 313 the columns come in 3 blocks, the last of which took in a
-    # block one column wide.
-    assert _row_blocks(313, 313) == [(0, 104), (104, 208), (208, 313)]
+    # Blocks of columns are sized for V differences. At n = 150 every V
+    # below 3 takes one block; at the second n of each V the columns come
+    # in several blocks, the last of which took in a block one column wide.
     rng = np.random.default_rng(53)
-    for n in (31, 257, 313):
-        views = [build_view_affinity(rng.normal(size=(n, 4)), 10) for _ in range(2)]
-        views.append(random_affinity(rng, n))
-        s = random_affinity(rng, n).matrix
-        stack = np.stack([s - dense(g) for g in views])
-        assert np.array_equal(_view_grams(s, views), np.einsum("vij,uij->jvu", stack, stack))
+    for n_views, merged in ((1, 363), (2, 313), (3, 209), (4, 181)):
+        blocks = _row_blocks(merged, merged * n_views // 2)
+        assert len(blocks) > 1 and merged % (blocks[0][1] - blocks[0][0]) == 1
+        assert n_views > 2 or len(_row_blocks(150, 150 * n_views // 2)) == 1
+        for n in (31, 150, merged):
+            views = [build_view_affinity(rng.normal(size=(n, 4)), 10)
+                     for _ in range(n_views - 1)]
+            views.append(random_affinity(rng, n))
+            s = random_affinity(rng, n).matrix
+            stack = np.stack([s - dense(g) for g in views])
+            assert np.array_equal(_view_grams(s, views),
+                                  np.einsum("vij,uij->jvu", stack, stack))
 
 
 def test_fit_and_view_graphs_stay_within_their_memory_bounds():
     # In units of one n x n array of doubles: three kNN view graphs hold at
     # most 0.2 of one, a fit's traced peak is at most 2.5 of them (S and one
-    # work array), and update_w adds at most 0.5 (two column blocks, no
-    # n x n buffer).
+    # work array), and update_w adds at most 0.5 at three views and at four
+    # (one stack of a column block's V differences, no n x n buffer).
     dataset, _ = generate_synthetic(200, 3, [(10, 1.0, 0.5)] * 3, seed=0)
     mats = [zscore_columns(v) for v in dataset.views]
     x = np.hstack(mats)
@@ -928,13 +933,15 @@ def test_fit_and_view_graphs_stay_within_their_memory_bounds():
         start = tracemalloc.get_traced_memory()[0]
         state = fit(graphs, x, hp)
         peak = tracemalloc.get_traced_memory()[1] - start
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        update_w(state, graphs)
-        peak_w = tracemalloc.get_traced_memory()[1] - start
+        peaks_w = []
+        for views in (graphs, graphs + [build_view_affinity(x, 10)]):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            update_w(state, views)
+            peaks_w.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         if not tracing:
             tracemalloc.stop()
     assert held <= 0.2 * unit
     assert peak <= 2.5 * unit
-    assert peak_w <= 0.5 * unit
+    assert max(peaks_w) <= 0.5 * unit
