@@ -38,13 +38,12 @@ def _kmeanspp_centers(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def _lloyd(data: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     k = centers.shape[0]
     prev_inertia = np.inf
-    labels = np.zeros(data.shape[0], dtype=int)
     for _ in range(KMEANS_MAX_ITERS):
         d2 = squared_distances(data, centers)
         labels = d2.argmin(axis=1)
         # Repair empty clusters by reseeding them at the point currently
         # farthest from its assigned center.
-        assigned = d2[np.arange(data.shape[0]), labels].copy()
+        assigned = d2[np.arange(data.shape[0]), labels]
         for c in range(k):
             if not (labels == c).any():
                 far = int(assigned.argmax())

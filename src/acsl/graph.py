@@ -37,10 +37,10 @@ class AffinityGraph:
     (a learned structure) or a sparse one, kept as a CSR array in canonical
     form: sorted indices, no duplicates, no explicit zeros (a kNN view
     graph). Every column is nonnegative and sums to 1 (within
-    COLUMN_SUM_TOL), checked in two passes over the stored entries:
-    entries >= 0 (False at a NaN), then the column sums (inf at an inf
-    entry, or where the sum overflows). Pre-constructed view graphs
-    additionally have a zero diagonal; a learned structure may not.
+    COLUMN_SUM_TOL), checked by the same two expressions for either
+    storage: the smallest entry >= 0 (False at a NaN), then the column
+    sums (inf at an inf entry, or where the sum overflows). View graphs
+    also have a zero diagonal; a learned structure may not.
     Instances are treated as immutable after construction. The support is
     cached on the instance; the Laplacian is formed anew on each call.
     """
@@ -48,15 +48,14 @@ class AffinityGraph:
     matrix: np.ndarray | csr_array
 
     def __post_init__(self):
-        sparse = issparse(self.matrix)
-        m = _canonical_csr(self.matrix) if sparse else np.asarray(self.matrix, dtype=float)
+        m = self.matrix
+        m = _canonical_csr(m) if issparse(m) else np.asarray(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"affinity matrix must be square, got shape {m.shape}")
-        if not ((m.data if sparse else m) >= 0).all():  # False at a NaN
+        if not m.min() >= 0:  # False at a NaN
             raise ValueError("affinity matrix has negative or NaN entries")
         with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
-            sums = (np.bincount(m.indices, weights=m.data, minlength=m.shape[1])
-                    if sparse else m.sum(axis=0))
+            sums = m.sum(axis=0)
         worst = np.abs(sums - 1.0).max()
         if not worst <= COLUMN_SUM_TOL:  # an inf entry makes its column sum inf
             raise ValueError(f"columns must sum to 1, worst deviation {worst:.3e}")

@@ -1,11 +1,10 @@
 """Dense numerical kernels: squared distances, symmetric eigensolves, SPD
 solves, and exact Euclidean projection onto the probability simplex.
 
-All functions operate on plain float ndarrays and leave their inputs
-unchanged, unless asked to overwrite one (``smallest_k_eigen``). Square
-inputs are symmetrized on entry, which tolerates round-off asymmetry and is
-their one finiteness check (``symmetrized``: NumericError on a NaN, inf or
-overflow).
+All public functions operate on plain float ndarrays and leave their
+inputs unchanged. Square inputs are symmetrized on entry, which tolerates
+round-off asymmetry and is their one finiteness check (``symmetrized``:
+NumericError on a NaN, inf or overflow).
 
 Passes over an n x n array run one block of rows at a time
 (``_row_blocks``), so their temporaries hold about BLOCK_ITEMS doubles
@@ -102,20 +101,14 @@ def _symmetrize(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def smallest_k_eigen(
-    m: np.ndarray, k: int, overwrite_m: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def smallest_k_eigen(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs for the k smallest eigenvalues of a symmetric matrix.
 
     Parameters
     ----------
-    m : (n, n) array, symmetrized internally.
+    m : (n, n) array, left unchanged; its symmetric part is solved, in a
+        copy (``_bottom_eigenpairs``).
     k : number of eigenpairs, 1 <= k <= n.
-    overwrite_m : whether m may serve as the work array, as scipy's
-        ``overwrite_a``. With True, a writable float64 m is symmetrized in
-        place, with the same check and the same bits as a copy would get,
-        and then destroyed by the eigensolve; so the call holds no second
-        n x n array. With False (the default) m is left unchanged.
 
     Returns
     -------
@@ -124,13 +117,20 @@ def smallest_k_eigen(
     largest-magnitude entry is positive, which makes outputs deterministic
     up to degenerate eigenvalue ties.
     """
-    m = _square(m)
-    m = _symmetrize(m, m if overwrite_m and m.flags.writeable else np.empty_like(m))
+    return _bottom_eigenpairs(_square(np.array(m, dtype=float)), k)
+
+
+def _bottom_eigenpairs(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``smallest_k_eigen`` in m itself, a square float64 array the caller
+    owns and gives up: m is symmetrized in place, with the same check and
+    the same bits as a copy would get, then destroyed by the eigensolve, so
+    the call holds no second n x n array."""
+    m = _symmetrize(m, m)
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    # m is exactly symmetric and free to overwrite: its transpose, the same
-    # matrix in Fortran order, is factored in place.
+    # m is exactly symmetric: its transpose, the same matrix in Fortran
+    # order, is factored in place.
     vals, vecs = linalg.eigh(m.T, subset_by_index=(0, k - 1), overwrite_a=True,
                              check_finite=False)
     pivot = np.abs(vecs).argmax(axis=0)
@@ -144,7 +144,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     a is left unchanged. The factorization overwrites the exactly symmetric
     copy that ``symmetrized`` makes, through its transpose (the same matrix
-    in Fortran order, as in ``smallest_k_eigen``), so no third n x n array
+    in Fortran order, as in ``_bottom_eigenpairs``), so no third n x n array
     is formed. If it fails, the copy is made again, a ridge delta * I with
     delta = SPD_RIDGE_SCALE * trace(a) / n is added once and the
     factorization retried. A second failure raises NumericError carrying

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .graph import AffinityGraph, connected_components, laplacian_of
 from .numerics import (
-    _row_blocks, project_simplex_columns, smallest_k_eigen, solve_spd, squared_distances,
+    _bottom_eigenpairs, _row_blocks, project_simplex_columns, solve_spd, squared_distances,
 )
 
 
@@ -250,7 +250,7 @@ def _embedding_operator(
     both from one factorization; see ``update_f``. When d > n, C = K^{-1} and
     Q^{-1} X^T F = D X^T K^{-1} F (module docstring). Otherwise P comes from
     Q^{-1} X^T itself, not from the residual X^T C F, whose round-off
-    (gamma G)^{-1} would amplify. ``smallest_k_eigen`` symmetrizes and checks it.
+    (gamma G)^{-1} would amplify. ``_bottom_eigenpairs`` symmetrizes and checks it.
 
     alpha L_S is added one block of rows at a time, each formed from S
     (``AffinityGraph.laplacian_rows``), so the operator is the only n x n
@@ -296,11 +296,11 @@ def update_f(
     also gives the matching P = Q^{-1} X^T F: when d > n, X^T C = (Q - X^T X)
     Q^{-1} X^T = gamma G Q^{-1} X^T turns it into P = (gamma G)^{-1} X^T
     (C F) with C = K^{-1}, for O(n^2 k + n d k). So the update costs
-    O(min(n, d)^3 + n d min(n, d)) plus the eigensolve, which works in
-    the operator's own array.
+    O(min(n, d)^3 + n d min(n, d)) plus the eigensolve, which
+    ``_bottom_eigenpairs`` runs in the operator's own array, uncopied.
     """
     m, project = _embedding_operator(state.s, x, state.gamma_diag, hp)
-    _, f = smallest_k_eigen(m, hp.k, overwrite_m=True)
+    _, f = _bottom_eigenpairs(m, hp.k)
     return f, project(f)
 
 

@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -164,8 +165,8 @@ def test_affinity_graph_validates_columns():
         AffinityGraph(matrix=np.ones((3, 3)))  # columns sum to 3
     with pytest.raises(ValueError):
         AffinityGraph(matrix=np.array([[1.5, 0.0], [-0.5, 1.0]]))
-    # Two passes catch non-finite entries: entries >= 0 is False at a NaN or
-    # -inf, and an inf entry makes its column sum inf.
+    # Two passes catch non-finite entries: the smallest entry >= 0 is False
+    # at a NaN or -inf, and an inf entry makes its column sum inf.
     for entry in (np.nan, np.inf, -np.inf):
         m = np.full((3, 3), 1.0 / 3.0)
         m[1, 2] = entry
@@ -193,6 +194,37 @@ def test_csr_affinity_graph_validates_its_stored_entries():
         m[1, 2] = entry
         with pytest.raises(ValueError):
             AffinityGraph(matrix=csr_array(m))
+
+
+def _defect(name: str) -> np.ndarray:
+    """A 6 x 6 column-stochastic matrix with zeros off a band, and one defect."""
+    m = np.zeros((6, 6))
+    for j in range(6):
+        m[[j, (j + 1) % 6, (j + 3) % 6], j] = [0.5, 0.25, 0.25]
+    if name == "negative":
+        m[1, 2], m[2, 2] = -0.25, 1.0
+    elif name == "overflow":
+        m[[0, 1, 3], 0] = 1e308
+    elif name == "sum off by 2e-9":
+        m[1, 0] += 2e-9
+    else:
+        m[3, 2] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[name]
+    return m
+
+
+@pytest.mark.parametrize("name", ["negative", "nan", "+inf", "-inf", "overflow",
+                                  "sum off by 2e-9"])
+def test_dense_and_csr_graphs_reject_a_defect_with_the_same_message(name):
+    m = _defect(name)
+    messages = []
+    for matrix in (m, csr_array(m)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as caught:
+                AffinityGraph(matrix=matrix)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(("affinity matrix has negative", "columns must sum to 1"))
 
 
 def test_view_graph_is_a_canonical_csr_array():

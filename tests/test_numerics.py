@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 from acsl.errors import NumericError
 from acsl.numerics import (
     BLOCK_ITEMS,
+    _bottom_eigenpairs,
     _row_blocks,
     project_simplex,
     project_simplex_columns,
@@ -74,34 +75,47 @@ def test_smallest_k_eigen_is_bitwise_eigh_and_leaves_its_input_unchanged():
     assert np.array_equal(np.abs(vecs), np.abs(ref_vecs))
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "read-only", "integer"])
+def test_smallest_k_eigen_leaves_every_input_unchanged(layout):
+    # The public function works in its own copy: bitwise the eigenpairs of a
+    # C-ordered float64 copy, whatever the input's layout, flags or dtype.
+    rng = np.random.default_rng(43)
+    m = rng.integers(-9, 10, size=(40, 40))
+    expected = smallest_k_eigen(m.astype(float), 3)
+    if layout != "integer":
+        m = m.astype(float, order=layout if layout == "F" else "C")
+    m.flags.writeable = layout != "read-only"
+    before = m.copy()
+    vals, vecs = smallest_k_eigen(m, 3)
+    assert m.dtype == before.dtype and np.array_equal(m, before)
+    assert vals.tobytes() == expected[0].tobytes() and vecs.tobytes() == expected[1].tobytes()
+
+
 @pytest.mark.parametrize("n", [25, 313, 400])
 def test_smallest_k_eigen_overwrite_gives_bitwise_the_default_eigenpairs(n):
-    # 25 is one block; 313 and 400 are several, 313 with a merged last row.
+    # _bottom_eigenpairs, the in-place eigensolve update_f hands its operator
+    # to, gives the public function's bits. 25 is one block; 313 and 400 are
+    # several, 313 with a merged last row.
     rng = np.random.default_rng(n)
     m = rng.normal(size=(n, n))
     vals, vecs = smallest_k_eigen(m, 3)
-    work = m.copy()
-    got_vals, got_vecs = smallest_k_eigen(work, 3, overwrite_m=True)
+    got_vals, got_vecs = _bottom_eigenpairs(m.copy(), 3)
     assert got_vals.tobytes() == vals.tobytes() and got_vecs.tobytes() == vecs.tobytes()
-    # A read-only input cannot serve as the work array: it is copied, not changed.
-    frozen = m.copy()
-    frozen.flags.writeable = False
-    assert smallest_k_eigen(frozen, 3, overwrite_m=True)[1].tobytes() == vecs.tobytes()
-    assert np.array_equal(frozen, m)
     fortran = np.asfortranarray(m)
-    assert smallest_k_eigen(fortran, 3, overwrite_m=True)[1].tobytes() == vecs.tobytes()
+    assert _bottom_eigenpairs(fortran, 3)[1].tobytes() == vecs.tobytes()
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e308])
 @pytest.mark.parametrize("where", [(0, 1), (311, 2), (150, 312)])
 def test_smallest_k_eigen_overwrite_rejects_non_finite(entry, where):
-    # The same NumericError as the default, in whichever block the entry lies.
+    # The same NumericError in place as in a copy, in whichever block the
+    # entry lies.
     m = np.eye(313)
     i, j = where
     m[i, j] = m[j, i] = entry
-    for overwrite in (False, True):
+    for solve in (smallest_k_eigen, _bottom_eigenpairs):
         with pytest.raises(NumericError, match="overflows"):
-            smallest_k_eigen(m.copy(), 1, overwrite_m=overwrite)
+            solve(m.copy(), 1)
 
 
 def test_smallest_k_eigen_diagonal_single():
