@@ -126,11 +126,8 @@ def cmd_generate(args) -> int:
         args.n_per_cluster, args.clusters, _parse_views(args.views), args.seed
     )
     manifest_path = save_dataset(dataset, out, labels=labels, delimiter=args.delimiter)
-    info = {
-        "per_view": [[int(i) for i in idx] for idx in dataset.informative_dims],
-        "stacked": [int(i) for i in dataset.stacked_informative_dims()],
-    }
-    write_json(out / "informative_dims.json", info)
+    write_json(out / "informative_dims.json", {"per_view": dataset.informative_dims,
+                                               "stacked": dataset.stacked_informative_dims()})
     print(f"wrote {dataset.n}x[{','.join(str(d) for d in dataset.dims)}] dataset "
           f"to {manifest_path}")
     return EXIT_OK

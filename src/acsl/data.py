@@ -337,9 +337,16 @@ def write_lines(path: str | Path, lines) -> None:
     path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
 
+def _plain(value):
+    """json's fallback: a numpy scalar or array as the equal Python value."""
+    if not isinstance(value, (np.generic, np.ndarray)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return value.tolist()
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    """Write `payload` as JSON with sorted keys and a two-space indent."""
-    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+    """Write `payload` as JSON, sorted keys, two-space indent, numpy values as Python's."""
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True, default=_plain)])
 
 
 def save_dataset(

@@ -7,12 +7,11 @@ experiment pipeline relies on for reproducible reports. ACC and NMI are
 plain floats, in [0, 1] by construction.
 """
 
-import numbers
-
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
+from .errors import ConfigError, require_integers
 from .numerics import squared_distances
 
 KMEANS_MAX_ITERS = 300
@@ -76,13 +75,10 @@ def kmeans(data: np.ndarray, k: int, restarts: int = 50, seed: int = 0) -> np.nd
         raise ValueError(f"expected a non-empty 2-d data matrix, got shape {data.shape}")
     if not np.isfinite(data).all():
         raise ValueError("data must be finite")
-    for name, value in (("k", k), ("restarts", restarts)):
-        if not isinstance(value, numbers.Integral):  # numpy integers too
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not 1 <= k <= data.shape[0]:
-        raise ValueError(f"k must be in [1, {data.shape[0]}], got {k}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be positive, got {restarts}")
+    require_integers("k", k, least=1)
+    require_integers("restarts", restarts, least=1)
+    if k > data.shape[0]:
+        raise ConfigError(f"k must be at most {data.shape[0]}, the sample count, got {k}")
     rng = np.random.default_rng(seed)
     best_labels = None
     best_inertia = np.inf

@@ -46,27 +46,19 @@ class RunConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        require_integers("k_neighbors", self.k_neighbors)
-        require_integers("kmeans_restarts", self.kmeans_restarts)
-        require_integers("each l_grid entry", *(self.l_grid or ()))
+        require_integers("k_neighbors", self.k_neighbors, least=1)
+        require_integers("kmeans_restarts", self.kmeans_restarts, least=1)
+        require_integers("each l_grid entry", *(self.l_grid or ()), least=1)
         require_integers("each eval_seeds entry", *self.eval_seeds)
-        if self.k_neighbors < 1:
-            raise ConfigError(f"k_neighbors must be positive, got {self.k_neighbors}")
-        if self.kmeans_restarts < 1:
-            raise ConfigError(
-                f"kmeans_restarts must be positive, got {self.kmeans_restarts}"
-            )
         if not self.eval_seeds:
             raise ConfigError("at least one evaluation seed is required")
-        if any(seed < 0 for seed in self.eval_seeds):
-            raise ConfigError(f"eval_seeds must be non-negative, got {self.eval_seeds}")
+        # A negative seed is named by the field, as its CLI flag is.
+        require_integers("eval_seeds", *self.eval_seeds, least=0)
         if len(set(self.eval_seeds)) != len(self.eval_seeds):
             raise ConfigError(f"eval_seeds must be distinct, got {self.eval_seeds}")
         if self.l_grid is not None:
             if not self.l_grid or len(set(self.l_grid)) != len(self.l_grid):
                 raise ConfigError(f"l_grid must be nonempty and distinct, got {self.l_grid}")
-            if any(l < 1 for l in self.l_grid):
-                raise ConfigError(f"l_grid entries must be positive, got {self.l_grid}")
 
 
 @contextmanager
@@ -255,9 +247,7 @@ def run_grid(
     """
     if not values:
         raise ConfigError("grid values must not be empty")
-    require_integers("jobs", jobs)
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    require_integers("jobs", jobs, least=1)
     names = {}
     configs = []
     for point in itertools.product(values, values, values):

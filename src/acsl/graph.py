@@ -141,9 +141,7 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     if not np.isfinite(x).all():
         raise ValueError("feature matrix has non-finite entries")
     n = x.shape[0]
-    require_integers("k_neighbors", k_neighbors)
-    if k_neighbors < 1:
-        raise ConfigError(f"k_neighbors must be positive, got {k_neighbors}")
+    require_integers("k_neighbors", k_neighbors, least=1)
     if k_neighbors >= n:
         raise ConfigError(
             f"k_neighbors={k_neighbors} requires at least {k_neighbors + 1} samples, got {n}"

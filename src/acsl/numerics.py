@@ -14,7 +14,7 @@ Passes over an n x n array run one block of rows at a time
 import numpy as np
 from scipy import linalg
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError, require_integers
 
 # Relative Tikhonov ridge applied once when a Cholesky factorization fails.
 SPD_RIDGE_SCALE = 1e-10
@@ -127,8 +127,9 @@ def _bottom_eigenpairs(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     the call holds no second n x n array."""
     m = _symmetrize(m, m)
     n = m.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    require_integers("k", k, least=1)
+    if k > n:
+        raise ConfigError(f"k must be at most {n}, the matrix order, got {k}")
     # m is exactly symmetric: its transpose, the same matrix in Fortran
     # order, is factored in place.
     vals, vecs = linalg.eigh(m.T, subset_by_index=(0, k - 1), overwrite_a=True,

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, require_integers
+
 
 @dataclass(frozen=True)
 class FeatureRanking:
@@ -43,6 +45,7 @@ def rank_features(p: np.ndarray, view_of: np.ndarray | None = None) -> FeatureRa
 
 def select_top(ranking: FeatureRanking, l: int) -> np.ndarray:
     """Indices of the l best-scoring dimensions, in rank order."""
-    if not 1 <= l <= ranking.d:
-        raise ValueError(f"l must be in [1, {ranking.d}], got {l}")
+    require_integers("l", l, least=1)
+    if l > ranking.d:
+        raise ConfigError(f"l must be at most {ranking.d}, the dimension count, got {l}")
     return ranking.order[:l].copy()

@@ -38,11 +38,10 @@ X^T X or K.
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 import math
-import numbers
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, require_integers
 from .graph import AffinityGraph, connected_components, laplacian_of
 from .numerics import (
     _bottom_eigenpairs, _row_blocks, project_simplex_columns, solve_spd, squared_distances,
@@ -72,10 +71,8 @@ class Hyperparams:
     adaptive_alpha: bool = False
 
     def __post_init__(self):
-        for name, least in (("k", 2), ("max_outer_iters", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:  # numpy ints too
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        require_integers("k", self.k, least=2)
+        require_integers("max_outer_iters", self.max_outer_iters, least=1)
         for name in ("alpha", "beta", "gamma", "epsilon", "tol_rel_objective"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):

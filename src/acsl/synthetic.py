@@ -9,7 +9,7 @@ scored against ground truth.
 import numpy as np
 
 from .data import MultiViewDataset
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 
 # Cluster means are drawn from N(0, CLUSTER_SEPARATION^2) per informative
 # dimension; within-cluster spread is the view's noise_level.
@@ -36,12 +36,11 @@ def generate_synthetic(
     -------
     (dataset, labels) with labels in 0..k-1 grouped by cluster.
     """
-    if n_per_cluster < 1 or k < 1:
-        raise ConfigError("n_per_cluster and k must be positive")
+    require_integers("n_per_cluster", n_per_cluster, least=1)
+    require_integers("k", k, least=1)
+    require_integers("seed", seed, least=0)
     if not views:
         raise ConfigError("at least one view description is required")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     n = n_per_cluster * k
     labels = np.repeat(np.arange(k), n_per_cluster)
@@ -49,8 +48,7 @@ def generate_synthetic(
     mats = []
     informative = []
     for d_v, noise_level, fraction in views:
-        if d_v < 1:
-            raise ConfigError(f"view dimension must be positive, got {d_v}")
+        require_integers("view dimension", d_v, least=1)
         if not 0.0 <= noise_level < np.inf:
             raise ConfigError(f"noise_level must be nonnegative and finite, got {noise_level}")
         if not 0.0 <= fraction <= 1.0:

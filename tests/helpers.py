@@ -1,9 +1,11 @@
 """Shared builders for randomized test instances."""
 
 import numpy as np
+import pytest
 from scipy.sparse import issparse
 
 from acsl.data import zscore_columns
+from acsl.errors import ConfigError
 from acsl.graph import AffinityGraph, build_view_affinity
 from acsl.solver import Hyperparams, initialize, update_p
 from acsl.synthetic import generate_synthetic
@@ -69,3 +71,16 @@ def mm_steps(state, x, hp, steps=30):
         state.p, state.gamma_diag = update_p(state, x, hp)
         history.append(smoothed_regression_objective(x, state.p, state.f, hp))
     return history
+
+
+def check_count_rule(call, name, least, valid):
+    """Check the rule every count of the package follows, where call(value)
+    passes value as the count `name`: 2.5 and least - 1 each raise a
+    ConfigError, also a ValueError, naming the field, and the numpy integer
+    np.int64(valid) is accepted. Returns call's result for it."""
+    bound = "non-negative" if least == 0 else f"at least {least}"
+    for value, rule in ((2.5, "an integer"), (least - 1, bound)):
+        with pytest.raises(ConfigError, match=rf"{name}.* must be {rule}, got {value}$") as caught:
+            call(value)
+        assert isinstance(caught.value, ValueError)
+    return call(np.int64(valid))

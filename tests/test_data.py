@@ -12,6 +12,7 @@ from acsl.data import (
     load_dataset,
     load_labels,
     save_dataset,
+    write_json,
     write_matrix,
     zscore_columns,
 )
@@ -209,6 +210,18 @@ def test_write_matrix_bytes_match_savetxt(tmp_path, delimiter):
     write_matrix(tmp_path / "ours.txt", a, delimiter=delimiter)
     np.savetxt(tmp_path / "ref.txt", a, fmt=FLOAT_FORMAT, delimiter=delimiter)
     assert (tmp_path / "ours.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+def test_write_json_writes_numpy_values_as_the_equal_python_values(tmp_path):
+    as_numpy = {"k": np.int64(3), "seeds": (np.uint8(0), np.int32(1)), "dims": np.arange(3),
+                "mass": np.float64(0.1), "done": np.bool_(True), "grid": [np.int64(-2)]}
+    as_python = {"k": 3, "seeds": [0, 1], "dims": [0, 1, 2], "mass": 0.1, "done": True,
+                 "grid": [-2]}
+    write_json(tmp_path / "numpy.json", as_numpy)
+    write_json(tmp_path / "python.json", as_python)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        write_json(tmp_path / "set.json", {"s": {1}})
 
 
 def test_labels_roundtrip(tmp_path):

@@ -15,7 +15,10 @@ from acsl.evaluation import (
     nmi,
     score_clustering,
 )
+from acsl.errors import ConfigError
 from acsl.numerics import squared_distances
+
+from helpers import check_count_rule
 
 
 def partition_inertia(data, labels):
@@ -98,6 +101,15 @@ def test_kmeans_validates_arguments():
         kmeans(data, 0)
     with pytest.raises(ValueError):
         kmeans(data, 2, restarts=0)
+
+
+@pytest.mark.parametrize("name", ["k", "restarts"])
+def test_kmeans_counts_follow_the_count_rule(name):
+    data = np.array([[0.0, 0.0], [0.0, 1.0], [9.0, 9.0], [9.0, 8.0]])
+    labels = check_count_rule(lambda v: kmeans(data, **{"k": 2, name: v}), name, 1, 2)
+    assert clustering_accuracy(labels, np.array([0, 0, 1, 1])) == 1.0
+    with pytest.raises(ConfigError, match="k must be at most 4"):
+        kmeans(data, 5)
 
 
 @pytest.mark.parametrize(

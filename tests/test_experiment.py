@@ -15,7 +15,7 @@ from acsl.graph import build_view_affinity
 from acsl.solver import Hyperparams, fit
 from acsl.synthetic import generate_synthetic
 
-from helpers import blob_problem
+from helpers import blob_problem, check_count_rule
 
 
 @pytest.fixture()
@@ -81,6 +81,22 @@ def test_rerun_is_byte_identical(synthetic_manifest, tmp_path):
     run_experiment(synthetic_manifest, config_b)
     for name in ("results.json", "trace.csv", "selected_l10.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_numpy_integer_counts_write_the_same_files_as_python_ints(synthetic_manifest,
+                                                                 tmp_path):
+    as_int = quick_config(tmp_path / "int", hyperparams=Hyperparams(k=3, max_outer_iters=15),
+                          k_neighbors=4, l_grid=(6, 10), eval_seeds=(0, 1))
+    as_numpy = quick_config(tmp_path / "numpy",
+                            hyperparams=Hyperparams(k=np.int64(3), max_outer_iters=15),
+                            k_neighbors=np.int64(4), l_grid=(6, np.int64(10)),
+                            eval_seeds=tuple(np.arange(2)))
+    payload = run_experiment(synthetic_manifest, as_numpy)
+    assert payload == run_experiment(synthetic_manifest, as_int)
+    assert all(type(i) is int for s in payload["selections"] for i in s["indices"])
+    for name in ("results.json", "trace.csv", "selected_l6.txt", "selected_l10.txt"):
+        assert ((tmp_path / "numpy" / name).read_bytes()
+                == (tmp_path / "int" / name).read_bytes()), name
 
 
 def test_missing_labels_yield_null_metrics(synthetic_manifest, tmp_path):
@@ -235,6 +251,25 @@ def test_run_config_accepts_numpy_integer_counts(tmp_path):
     config = quick_config(tmp_path, k_neighbors=np.int64(8), kmeans_restarts=np.int32(5),
                           l_grid=(np.int64(10),), eval_seeds=(np.int64(0), np.uint8(1)))
     assert config.k_neighbors == 8
+
+
+@pytest.mark.parametrize("name, least, in_tuple", [
+    ("k_neighbors", 1, False), ("kmeans_restarts", 1, False),
+    ("l_grid", 1, True), ("eval_seeds", 0, True),
+])
+def test_run_config_counts_follow_the_count_rule(tmp_path, name, least, in_tuple):
+    def config(value):
+        return quick_config(tmp_path, **{name: (value,) if in_tuple else value})
+    assert check_count_rule(config, name, least, 3) == quick_config(tmp_path, **{
+        name: (3,) if in_tuple else 3})
+
+
+def test_grid_jobs_follow_the_count_rule(synthetic_manifest, tmp_path):
+    def grid(jobs):
+        config = quick_config(tmp_path / "grid", hyperparams=Hyperparams(k=3, max_outer_iters=4),
+                              l_grid=(6,), eval_seeds=(0,))
+        return run_grid(synthetic_manifest, config, values=(1.0,), jobs=jobs)
+    assert len(check_count_rule(grid, "jobs", 1, 1)["points"]) == 1
 
 
 def test_run_config_rejects_repeated_eval_seeds(tmp_path):

@@ -16,7 +16,7 @@ from acsl.graph import (
 )
 from acsl.numerics import smallest_k_eigen
 
-from helpers import dense, random_affinity
+from helpers import check_count_rule, dense, random_affinity
 
 
 def block_affinity(rng, sizes):
@@ -150,6 +150,14 @@ def test_affinity_ties_go_to_the_lower_index():
 def test_affinity_rejects_a_non_integer_neighbor_count(k_neighbors):
     with pytest.raises(ConfigError, match="k_neighbors must be an integer"):
         build_view_affinity(np.zeros((4, 2)), k_neighbors)
+
+
+def test_affinity_neighbor_count_follows_the_count_rule():
+    x = np.random.default_rng(3).normal(size=(5, 2))
+    graph = check_count_rule(lambda v: build_view_affinity(x, v), "k_neighbors", 1, 2)
+    assert graph.matrix.nnz == 10
+    with pytest.raises(ConfigError, match="k_neighbors=5 requires at least 6 samples"):
+        build_view_affinity(x, 5)
 
 
 def test_affinity_rejects_bad_neighbor_counts():

@@ -3,7 +3,7 @@ import pytest
 from scipy import linalg
 from scipy.optimize import minimize
 
-from acsl.errors import NumericError
+from acsl.errors import ConfigError, NumericError
 from acsl.numerics import (
     BLOCK_ITEMS,
     _bottom_eigenpairs,
@@ -16,7 +16,7 @@ from acsl.numerics import (
     symmetrized,
 )
 
-from helpers import random_orthonormal, random_spd
+from helpers import check_count_rule, random_orthonormal, random_spd
 
 
 # ------------------------------------------------------------ squared distances
@@ -171,6 +171,14 @@ def test_smallest_k_eigen_ky_fan_lower_bound():
 def test_smallest_k_eigen_rejects_bad_k(k):
     with pytest.raises(ValueError):
         smallest_k_eigen(np.eye(3), k)
+
+
+def test_smallest_k_eigen_count_follows_the_count_rule():
+    vals, _ = check_count_rule(lambda v: smallest_k_eigen(np.diag([3.0, 1.0, 2.0]), v),
+                               "k", 1, 2)
+    assert vals.tolist() == [1.0, 2.0]
+    with pytest.raises(ConfigError, match="k must be at most 3"):
+        smallest_k_eigen(np.eye(3), 4)
 
 
 def test_smallest_k_eigen_rejects_non_finite():

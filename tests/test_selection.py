@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from acsl.errors import ConfigError
 from acsl.selection import rank_features, select_top
+
+from helpers import check_count_rule
 
 
 def test_single_active_feature_ranks_first():
@@ -52,6 +55,13 @@ def test_select_top_rejects_bad_l():
     with pytest.raises(ValueError):
         select_top(ranking, 0)
     with pytest.raises(ValueError):
+        select_top(ranking, 5)
+
+
+def test_select_top_count_follows_the_count_rule():
+    ranking = rank_features(np.arange(4.0)[:, None])
+    assert check_count_rule(lambda v: select_top(ranking, v), "l", 1, 2).tolist() == [3, 2]
+    with pytest.raises(ConfigError, match="l must be at most 4"):
         select_top(ranking, 5)
 
 

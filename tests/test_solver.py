@@ -34,7 +34,10 @@ from acsl.solver import (
     update_w,
 )
 
-from helpers import blob_problem, dense, mm_steps, random_affinity, random_orthonormal, random_state
+from helpers import (
+    blob_problem, check_count_rule, dense, mm_steps, random_affinity, random_orthonormal,
+    random_state,
+)
 
 TINY_ALPHA = 1e-15
 # Blob problem with n=12 samples and d=40 stacked dims: solves with Q take
@@ -65,6 +68,12 @@ def test_hyperparams_reject_non_integer_counts(fields):
     name = list(fields)[-1]
     with pytest.raises(ConfigError, match=f"{name} must be an integer"):
         Hyperparams(**fields)
+
+
+@pytest.mark.parametrize("name, least", [("k", 2), ("max_outer_iters", 1)])
+def test_hyperparams_counts_follow_the_count_rule(name, least):
+    hp = check_count_rule(lambda v: Hyperparams(**{"k": 3, name: v}), name, least, 3)
+    assert getattr(hp, name) == 3
 
 
 def test_hyperparams_accept_numpy_integer_counts():

@@ -5,6 +5,8 @@ from acsl.errors import ConfigError
 from acsl.evaluation import clustering_accuracy, kmeans
 from acsl.synthetic import generate_synthetic
 
+from helpers import check_count_rule
+
 
 def test_generator_is_byte_deterministic():
     spec = [(20, 0.5, 0.3), (10, 1.0, 0.5)]
@@ -56,6 +58,18 @@ def test_noise_dimensions_carry_no_cluster_signal():
     noise = ds.views[0][:, noise_dims]
     gap = np.abs(noise[labels == 0].mean(axis=0) - noise[labels == 1].mean(axis=0))
     assert gap.max() < 1.5  # no separation beyond sampling error
+
+
+@pytest.mark.parametrize("name, least, call", [
+    ("n_per_cluster", 1, lambda v: generate_synthetic(v, 2, [(5, 0.1, 0.5)], seed=0)),
+    ("k", 1, lambda v: generate_synthetic(3, v, [(5, 0.1, 0.5)], seed=0)),
+    ("view dimension", 1, lambda v: generate_synthetic(3, 2, [(5, 0.1, 0.5), (v, 0.1, 0.5)],
+                                                       seed=0)),
+    ("seed", 0, lambda v: generate_synthetic(3, 2, [(5, 0.1, 0.5)], seed=v)),
+], ids=["n_per_cluster", "k", "view_dimension", "seed"])
+def test_generator_counts_follow_the_count_rule(name, least, call):
+    dataset, labels = check_count_rule(call, name, least, 3)
+    assert dataset.n == labels.size
 
 
 def test_generator_validates_arguments():
