@@ -18,7 +18,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 # 17 significant digits round-trips IEEE doubles exactly.
 FLOAT_FORMAT = "%.17g"
@@ -48,11 +48,9 @@ class MultiViewDataset:
     def __post_init__(self):
         if not self.views:
             raise ConfigError("a dataset needs at least one view")
-        views = [np.asarray(v, dtype=float) for v in self.views]
+        views = [require_finite(f"view {i}", v, 2) for i, v in enumerate(self.views)]
         n = views[0].shape[0]
         for i, v in enumerate(views):
-            if v.ndim != 2:
-                raise ConfigError(f"view {i} must be a 2-d matrix, got shape {v.shape}")
             if v.shape[0] != n:
                 raise ConfigError(
                     f"row-count mismatch: view {i} has {v.shape[0]} rows, view 0 has {n}"

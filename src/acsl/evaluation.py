@@ -11,7 +11,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .errors import ConfigError, require_integers
+from .errors import ConfigError, require_finite, require_integers
 from .numerics import squared_distances
 
 KMEANS_MAX_ITERS = 300
@@ -70,13 +70,10 @@ def kmeans(data: np.ndarray, k: int, restarts: int = 50, seed: int = 0) -> np.nd
     Deterministic given the seed: one RNG drives every restart in order and
     ties keep the earlier restart.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ValueError(f"expected a non-empty 2-d data matrix, got shape {data.shape}")
-    if not np.isfinite(data).all():
-        raise ValueError("data must be finite")
+    data = require_finite("data", data, 2)
     require_integers("k", k, least=1)
     require_integers("restarts", restarts, least=1)
+    require_integers("seed", seed, least=0)
     if k > data.shape[0]:
         raise ConfigError(f"k must be at most {data.shape[0]}, the sample count, got {k}")
     rng = np.random.default_rng(seed)
@@ -95,11 +92,9 @@ def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError(
-            f"label vectors must match, got shapes {pred.shape} and {truth.shape}"
-        )
+        raise ConfigError(f"label vectors must match, got shapes {pred.shape} and {truth.shape}")
     if pred.size == 0:
-        raise ValueError("label vectors are empty")
+        raise ConfigError("label vectors are empty")
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
     table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
@@ -157,11 +152,11 @@ def score_clustering(
 ) -> tuple[np.ndarray, np.ndarray]:
     """ACC and NMI of k-means labelings of `data`, one run per seed."""
     if not seeds:
-        raise ValueError("at least one evaluation seed is required")
+        raise ConfigError("at least one evaluation seed is required")
     truth = np.asarray(truth)
     samples = np.shape(data)[:1]
     if truth.shape != samples:
-        raise ValueError(f"label vectors must match, got shapes {samples} and {truth.shape}")
+        raise ConfigError(f"label vectors must match, got shapes {samples} and {truth.shape}")
     accs = []
     nmis = []
     for seed in seeds:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csc_array, csgraph, csr_array, csr_matrix, issparse
 
-from .errors import ConfigError, require_integers
+from .errors import ConfigError, require_finite, require_integers
 from .numerics import _pair_rows, _row_blocks, squared_distances
 
 # Symmetrized edge weights above this count as edges when counting components.
@@ -51,14 +51,14 @@ class AffinityGraph:
         m = self.matrix
         m = _canonical_csr(m) if issparse(m) else np.asarray(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"affinity matrix must be square, got shape {m.shape}")
+            raise ConfigError(f"affinity matrix must be square, got shape {m.shape}")
         if not m.min() >= 0:  # False at a NaN
-            raise ValueError("affinity matrix has negative or NaN entries")
+            raise ConfigError("affinity matrix has negative or NaN entries")
         with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
             sums = m.sum(axis=0)
         worst = np.abs(sums - 1.0).max()
         if not worst <= COLUMN_SUM_TOL:  # an inf entry makes its column sum inf
-            raise ValueError(f"columns must sum to 1, worst deviation {worst:.3e}")
+            raise ConfigError(f"columns must sum to 1, worst deviation {worst:.3e}")
         object.__setattr__(self, "matrix", m)
 
     def __getstate__(self) -> dict:
@@ -135,11 +135,7 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     It holds the n x n distances and temporaries of one block of rows. The
     graph is returned as a CSR array of its n k entries.
     """
-    x = np.asarray(x_v, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-d feature matrix, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("feature matrix has non-finite entries")
+    x = require_finite("feature matrix", x_v, 2)
     n = x.shape[0]
     require_integers("k_neighbors", k_neighbors, least=1)
     if k_neighbors >= n:

@@ -14,7 +14,7 @@ Passes over an n x n array run one block of rows at a time
 import numpy as np
 from scipy import linalg
 
-from .errors import ConfigError, NumericError, require_integers
+from .errors import ConfigError, NumericError, require_finite, require_integers
 
 # Relative Tikhonov ridge applied once when a Cholesky factorization fails.
 SPD_RIDGE_SCALE = 1e-10
@@ -57,7 +57,7 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _square(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise ConfigError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -69,7 +69,7 @@ def _check_finite(a: np.ndarray) -> None:
 def symmetrized(a: np.ndarray) -> np.ndarray:
     """Return the symmetric part (a + a.T) / 2 of a square matrix.
 
-    Raises ValueError if a is not square, NumericError if the result is not finite.
+    Raises ConfigError if a is not square, NumericError if the result is not finite.
     """
     a = _square(a)
     return _symmetrize(a, np.empty_like(a))
@@ -117,19 +117,19 @@ def smallest_k_eigen(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     largest-magnitude entry is positive, which makes outputs deterministic
     up to degenerate eigenvalue ties.
     """
-    return _bottom_eigenpairs(_square(np.array(m, dtype=float)), k)
+    m = _square(np.array(m, dtype=float))
+    require_integers("k", k, least=1)
+    if k > len(m):
+        raise ConfigError(f"k must be at most {len(m)}, the matrix order, got {k}")
+    return _bottom_eigenpairs(m, k)
 
 
 def _bottom_eigenpairs(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``smallest_k_eigen`` in m itself, a square float64 array the caller
     owns and gives up: m is symmetrized in place, with the same check and
     the same bits as a copy would get, then destroyed by the eigensolve, so
-    the call holds no second n x n array."""
+    the call holds no second n x n array. The caller has checked k."""
     m = _symmetrize(m, m)
-    n = m.shape[0]
-    require_integers("k", k, least=1)
-    if k > n:
-        raise ConfigError(f"k must be at most {n}, the matrix order, got {k}")
     # m is exactly symmetric: its transpose, the same matrix in Fortran
     # order, is factored in place.
     vals, vecs = linalg.eigh(m.T, subset_by_index=(0, k - 1), overwrite_a=True,
@@ -155,9 +155,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = len(sym)
     b = np.asarray(b, dtype=float)
     if b.shape[0] != n:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, matrix is {n}x{n}")
+        raise ConfigError(f"right-hand side has {b.shape[0]} rows, matrix is {n}x{n}")
     if not np.isfinite(b).all():
-        raise ValueError("right-hand side has non-finite entries")
+        raise ConfigError("right-hand side has non-finite entries")
     try:
         factor = linalg.cho_factor(sym.T, lower=True, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError as first:
@@ -183,17 +183,13 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     then shift and clip. The output is the unique minimizer of
     ||x - v||^2 over {x : x >= 0, sum(x) = 1}.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a non-empty 1-d vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector has non-finite entries")
+    v = require_finite("vector", v, 1)
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     counts = np.arange(1, v.size + 1)
     positive = np.nonzero(u - (css - 1.0) / counts > 0)[0]
     if positive.size == 0:
-        raise ValueError("no entry lies above the simplex threshold in float64")
+        raise NumericError("no entry lies above the simplex threshold in float64")
     support = positive[-1]
     theta = (css[support] - 1.0) / (support + 1.0)
     return np.maximum(v - theta, 0.0)
@@ -206,13 +202,9 @@ def project_simplex_columns(m: np.ndarray) -> np.ndarray:
     maximum max_r (u_1 + ... + u_r - 1) / r (Duchi et al. 2008; Condat 2016).
     In exact arithmetic theta < u_1; a column whose largest entry does not
     exceed theta in float64 (|u| >= 2^53) would map off the simplex and
-    raises ValueError.
+    raises NumericError.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] == 0:
-        raise ValueError(f"expected a non-empty 2-d matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+    m = require_finite("matrix", m, 2)
     # One negated column per row, contiguous and sorted ascending: each row
     # is -u. Negation is exact, so the running sums and thresholds below are
     # exactly those of u with their signs flipped, all formed in place.
@@ -226,7 +218,7 @@ def project_simplex_columns(m: np.ndarray) -> np.ndarray:
     del u
     empty = np.flatnonzero(largest <= theta)
     if empty.size:
-        raise ValueError(f"column {empty[0]} has no entry above the simplex threshold "
-                         "in float64")
+        raise NumericError(f"column {empty[0]} has no entry above the simplex threshold "
+                           "in float64")
     out = m - theta
     return np.maximum(out, 0.0, out=out)

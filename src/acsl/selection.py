@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_integers
+from .errors import ConfigError, require_finite, require_integers
 
 
 @dataclass(frozen=True)
@@ -27,19 +27,13 @@ class FeatureRanking:
 
 def rank_features(p: np.ndarray, view_of: np.ndarray | None = None) -> FeatureRanking:
     """Score every feature dimension by the l2 norm of its projection row."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
-        raise ValueError(f"expected a 2-d projection matrix, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValueError("projection matrix has non-finite entries")
+    p = require_finite("projection matrix", p, 2)
     scores = np.sqrt(np.sum(p * p, axis=1))
     order = np.argsort(-scores, kind="stable")
     if view_of is not None:
         view_of = np.asarray(view_of)
         if view_of.shape != (p.shape[0],):
-            raise ValueError(
-                f"view_of has shape {view_of.shape}, expected ({p.shape[0]},)"
-            )
+            raise ConfigError(f"view_of has shape {view_of.shape}, expected ({p.shape[0]},)")
     return FeatureRanking(scores=scores, order=order, view_of=view_of)
 
 

@@ -1,5 +1,7 @@
 """Shared builders for randomized test instances."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse import issparse
@@ -84,3 +86,22 @@ def check_count_rule(call, name, least, valid):
             call(value)
         assert isinstance(caught.value, ValueError)
     return call(np.int64(valid))
+
+
+def check_array_rule(call, name, ndim):
+    """Check the rule every input array of the package follows, where
+    call(a) passes a as the array `name` with `ndim` axes: one axis too few
+    or too many, no entries, a NaN, +inf or -inf entry, and a string entry
+    each raise a ConfigError, also a ValueError, whose message starts with
+    the name."""
+    shape = (3,) * ndim
+    cases = [(np.ones(bad), re.escape(f"a non-empty {ndim}-d array, got shape {bad}") + "$")
+             for bad in ((3,) * (ndim - 1), (3,) * (ndim + 1), (0,) + shape[1:], shape[1:] + (0,))]
+    for entry in (np.nan, np.inf, -np.inf, "x"):
+        a = np.ones(shape, dtype=object if entry == "x" else float)
+        a.flat[1] = entry
+        cases.append((a, "numeric: " if entry == "x" else "finite$"))
+    for a, rule in cases:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be {rule}") as caught:
+            call(a)
+        assert isinstance(caught.value, ValueError)

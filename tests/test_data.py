@@ -19,6 +19,8 @@ from acsl.data import (
 from acsl.errors import ConfigError
 from acsl.synthetic import generate_synthetic
 
+from helpers import check_array_rule
+
 
 def write_csv(path, rows):
     path.write_text("\n".join(",".join(str(v) for v in row) for row in rows) + "\n")
@@ -292,6 +294,10 @@ def test_dataset_requires_consistent_rows():
         MultiViewDataset(views=[np.zeros((3, 2)), np.zeros((4, 2))])
     with pytest.raises(ConfigError):
         MultiViewDataset(views=[])
+
+
+def test_dataset_views_follow_the_array_rule():
+    check_array_rule(lambda a: MultiViewDataset(views=[np.zeros((3, 2)), a]), "view 1", 2)
 
 
 def _manifest_file(tmp_path, **changes):

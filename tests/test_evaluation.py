@@ -18,7 +18,7 @@ from acsl.evaluation import (
 from acsl.errors import ConfigError
 from acsl.numerics import squared_distances
 
-from helpers import check_count_rule
+from helpers import check_array_rule, check_count_rule
 
 
 def partition_inertia(data, labels):
@@ -132,6 +132,24 @@ def test_kmeans_accepts_numpy_integers():
     expected = kmeans(data, 2, restarts=3, seed=0)
     ours = kmeans(data, np.int64(2), restarts=np.int32(3), seed=0)
     assert np.array_equal(ours, expected)
+
+
+def test_kmeans_data_follows_the_array_rule():
+    check_array_rule(lambda a: kmeans(a, 2), "data", 2)
+
+
+@pytest.mark.parametrize(("seed", "rule"), [(1.5, "an integer"), (-1, "non-negative")])
+def test_kmeans_and_scoring_reject_a_bad_seed_by_name(seed, rule):
+    data = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
+    with pytest.raises(ConfigError, match=rf"^seed must be {rule}, got {seed}$"):
+        kmeans(data, 2, seed=seed)
+    with pytest.raises(ConfigError, match=rf"^seed must be {rule}, got {seed}$"):
+        score_clustering(data, np.array([0, 0, 1, 1]), 2, restarts=2, seeds=(seed,))
+
+
+def test_score_clustering_rejects_no_seeds_with_a_config_error():
+    with pytest.raises(ConfigError, match="at least one evaluation seed"):
+        score_clustering(np.zeros((4, 2)), np.zeros(4), 2, restarts=2, seeds=())
 
 
 # ------------------------------------------------------------------ accuracy

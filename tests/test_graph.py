@@ -16,7 +16,7 @@ from acsl.graph import (
 )
 from acsl.numerics import smallest_k_eigen
 
-from helpers import check_count_rule, dense, random_affinity
+from helpers import check_array_rule, check_count_rule, dense, random_affinity
 
 
 def block_affinity(rng, sizes):
@@ -158,6 +158,19 @@ def test_affinity_neighbor_count_follows_the_count_rule():
     assert graph.matrix.nnz == 10
     with pytest.raises(ConfigError, match="k_neighbors=5 requires at least 6 samples"):
         build_view_affinity(x, 5)
+
+
+def test_affinity_feature_matrix_follows_the_array_rule():
+    check_array_rule(lambda a: build_view_affinity(a, 2), "feature matrix", 2)
+
+
+def test_affinity_graph_defects_are_config_errors():
+    with pytest.raises(ConfigError, match="affinity matrix must be square"):
+        AffinityGraph(np.ones((2, 3)))
+    with pytest.raises(ConfigError, match="negative or NaN"):
+        AffinityGraph(np.array([[1.5, 0.0], [-0.5, 1.0]]))
+    with pytest.raises(ConfigError, match="columns must sum to 1"):
+        AffinityGraph(np.ones((3, 3)))
 
 
 def test_affinity_rejects_bad_neighbor_counts():

@@ -3,6 +3,7 @@ import pytest
 from scipy import linalg
 from scipy.optimize import minimize
 
+from acsl import numerics
 from acsl.errors import ConfigError, NumericError
 from acsl.numerics import (
     BLOCK_ITEMS,
@@ -16,7 +17,7 @@ from acsl.numerics import (
     symmetrized,
 )
 
-from helpers import check_count_rule, random_orthonormal, random_spd
+from helpers import check_array_rule, check_count_rule, random_orthonormal, random_spd
 
 
 # ------------------------------------------------------------ squared distances
@@ -179,6 +180,17 @@ def test_smallest_k_eigen_count_follows_the_count_rule():
     assert vals.tolist() == [1.0, 2.0]
     with pytest.raises(ConfigError, match="k must be at most 3"):
         smallest_k_eigen(np.eye(3), 4)
+
+
+def test_bottom_eigenpairs_leaves_the_check_on_k_to_its_caller(monkeypatch):
+    # update_f calls it once per outer iteration with the k that Hyperparams
+    # and the problem check have already checked.
+    def no_check(*args, **kwargs):
+        raise AssertionError("k checked again")
+
+    monkeypatch.setattr(numerics, "require_integers", no_check)
+    vals, _ = _bottom_eigenpairs(np.diag([3.0, 1.0, 2.0]), 2)
+    assert vals.tolist() == [1.0, 2.0]
 
 
 def test_smallest_k_eigen_rejects_non_finite():
@@ -376,6 +388,27 @@ def test_project_simplex_rejects_bad_input():
             project(np.array([]))
         with pytest.raises(ValueError):
             project(np.array([1.0, np.inf]))
+
+
+def test_projection_inputs_follow_the_array_rule():
+    check_array_rule(project_simplex, "vector", 1)
+    check_array_rule(project_simplex_columns, "matrix", 2)
+
+
+def test_square_and_right_hand_side_defects_are_config_errors():
+    with pytest.raises(ConfigError, match="expected a square matrix"):
+        symmetrized(np.ones((2, 3)))
+    with pytest.raises(ConfigError, match="right-hand side has 2 rows"):
+        solve_spd(np.eye(3), np.ones((2, 1)))
+    with pytest.raises(ConfigError, match="right-hand side has non-finite entries"):
+        solve_spd(np.eye(2), np.array([1.0, np.nan]))
+
+
+def test_projections_below_the_float64_threshold_are_numeric_errors():
+    with pytest.raises(NumericError, match="simplex threshold"):
+        project_simplex(np.array([-1e20, -1e20]))
+    with pytest.raises(NumericError, match="column 1 has no entry above"):
+        project_simplex_columns(np.array([[0.3, -1e20, 1.0], [0.1, -1e20, 2.0]]))
 
 
 def test_projections_raise_when_no_entry_lies_above_the_threshold():

@@ -1,5 +1,7 @@
-"""The README's library quick start, run as written, and its CLI examples, parsed."""
+"""The README's library quick start, run as written, its CLI examples, parsed,
+and its error contract."""
 
+import ast
 import json
 import os
 from pathlib import Path
@@ -54,3 +56,18 @@ def test_cli_examples_parse():
     for command in commands:
         args = build_parser().parse_args(shlex.split(command)[1:])
         assert callable(args.func)
+
+
+def test_the_package_raises_no_bare_value_error():
+    # A bad input raises ConfigError and a float64 failure NumericError, both
+    # ValueErrors; a bare ValueError would pass experiment._stage unnamed.
+    modules = sorted((README.parent / "src" / "acsl").glob("*.py"))
+    assert modules
+    bare = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []

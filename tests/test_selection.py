@@ -4,7 +4,7 @@ import pytest
 from acsl.errors import ConfigError
 from acsl.selection import rank_features, select_top
 
-from helpers import check_count_rule
+from helpers import check_array_rule, check_count_rule
 
 
 def test_single_active_feature_ranks_first():
@@ -71,6 +71,12 @@ def test_rank_features_validates_input():
     with pytest.raises(ValueError):
         rank_features(np.array([[np.nan, 1.0]]))
     with pytest.raises(ValueError):
+        rank_features(np.ones((3, 2)), view_of=np.zeros(2))
+
+
+def test_rank_features_projection_follows_the_array_rule():
+    check_array_rule(rank_features, "projection matrix", 2)
+    with pytest.raises(ConfigError, match=r"view_of has shape \(2,\), expected \(3,\)"):
         rank_features(np.ones((3, 2)), view_of=np.zeros(2))
 
 
