@@ -18,7 +18,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, require_finite, require_numeric
 
 # 17 significant digits round-trips IEEE doubles exactly.
 FLOAT_FORMAT = "%.17g"
@@ -321,7 +321,7 @@ def write_matrix(path: str | Path, a: np.ndarray, delimiter: str = ",") -> None:
     """Write a 2-d matrix one row per line, cells in FLOAT_FORMAT joined by
     `delimiter`: the bytes of `np.savetxt` with that format, formatted in
     one operation instead of one per row."""
-    a = np.asarray(a, dtype=float)
+    a = require_numeric("matrix", a)
     row_fmt = delimiter.join([FLOAT_FORMAT] * a.shape[1]) + "\n"
     Path(path).write_text((row_fmt * a.shape[0]) % tuple(a.ravel().tolist()),
                           encoding="utf-8")

@@ -35,13 +35,19 @@ def require_integers(name: str, *values, least: int | None = None) -> None:
             raise ConfigError(f"{name} must be {bound}, got {value!r}")
 
 
-def require_finite(name: str, a, ndim: int) -> np.ndarray:
-    """`a` as a float array; ConfigError naming `name` unless it converts,
-    has `ndim` axes and at least one entry, and every entry is finite."""
+def require_numeric(name: str, a) -> np.ndarray:
+    """`a` as a float array; ConfigError naming `name` unless it converts."""
     try:
-        a = np.asarray(a, dtype=float)
+        return np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be numeric: {exc}") from exc
+
+
+def require_finite(name: str, a, ndim: int) -> np.ndarray:
+    """`a` as a float array (``require_numeric``); ConfigError naming `name`
+    unless it also has `ndim` axes and at least one entry, and every entry
+    is finite."""
+    a = require_numeric(name, a)
     if a.ndim != ndim or a.size == 0:
         raise ConfigError(f"{name} must be a non-empty {ndim}-d array, got shape {a.shape}")
     if not np.isfinite(a).all():

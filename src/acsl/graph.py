@@ -2,25 +2,23 @@
 
 A similarity structure is an ``AffinityGraph``, stored column-stochastically:
 column j holds the affinities of every sample to sample j and lies on the
-probability simplex. A kNN view graph keeps only its support, as a CSR
-array with k entries per column, from construction to the end of a fit;
-the learned structure is a dense n x n array. Its Laplacian is a plain
-n x n array either way.
+probability simplex. A kNN view graph keeps only its support, as a CSC
+array with k entries per column, from construction to the end of a fit,
+and the fit reads it column by column; the learned structure is a dense
+n x n array. Its Laplacian is a plain n x n array either way.
 
-A graph caches its support on the instance, read-only, so a graph's
-``matrix`` must not be changed after construction. Its Laplacian is not
-cached: it is formed where it is used, whole (``laplacian_of``) or one
+Nothing derived from a graph is cached: its support and its Laplacian are
+formed where they are used, the Laplacian whole (``laplacian_of``) or one
 block of rows at a time (``AffinityGraph.laplacian_rows``), so that no
 n x n array outlives the step that reads it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_array, csgraph, csr_array, csr_matrix, issparse
 
-from .errors import ConfigError, require_finite, require_integers
+from .errors import ConfigError, require_finite, require_integers, require_numeric
 from .numerics import _pair_rows, _row_blocks, squared_distances
 
 # Symmetrized edge weights above this count as edges when counting components.
@@ -34,22 +32,21 @@ class AffinityGraph:
     """One n x n similarity structure with simplex-constrained columns.
 
     matrix[i, j] is the affinity of sample i to sample j, as a dense array
-    (a learned structure) or a sparse one, kept as a CSR array in canonical
+    (a learned structure) or a sparse one, kept as a CSC array in canonical
     form: sorted indices, no duplicates, no explicit zeros (a kNN view
     graph). Every column is nonnegative and sums to 1 (within
     COLUMN_SUM_TOL), checked by the same two expressions for either
     storage: the smallest entry >= 0 (False at a NaN), then the column
     sums (inf at an inf entry, or where the sum overflows). View graphs
     also have a zero diagonal; a learned structure may not.
-    Instances are treated as immutable after construction. The support is
-    cached on the instance; the Laplacian is formed anew on each call.
+    The support and the Laplacian are formed anew on each call.
     """
 
-    matrix: np.ndarray | csr_array
+    matrix: np.ndarray | csc_array
 
     def __post_init__(self):
         m = self.matrix
-        m = _canonical_csr(m) if issparse(m) else np.asarray(m, dtype=float)
+        m = _canonical_csc(m) if issparse(m) else require_numeric("affinity matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError(f"affinity matrix must be square, got shape {m.shape}")
         if not m.min() >= 0:  # False at a NaN
@@ -61,22 +58,19 @@ class AffinityGraph:
             raise ConfigError(f"columns must sum to 1, worst deviation {worst:.3e}")
         object.__setattr__(self, "matrix", m)
 
-    def __getstate__(self) -> dict:
-        return {"matrix": self.matrix}
-
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
+    @property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the nonzero entries, in column-major
-        order: k per column for a kNN view graph. Read from the CSC form,
-        which stores exactly these, in this order, for a dense matrix too."""
-        m = csc_array(self.matrix)
+        order, as new arrays: k per column for a kNN view graph. Read from
+        the CSC storage, which holds exactly these, in this order; a dense
+        matrix is converted to CSC first."""
+        m = self.matrix if issparse(self.matrix) else csc_array(self.matrix)
         cols = np.repeat(np.arange(self.n), np.diff(m.indptr))
-        rows, values = m.indices.astype(np.intp), m.data.copy()
-        return _read_only(rows), _read_only(cols), _read_only(values)
+        return m.indices.astype(np.intp), cols, m.data.copy()
 
     def laplacian_rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo:hi of the Laplacian (``laplacian_of``), as a new writable
@@ -104,15 +98,10 @@ class AffinityGraph:
         return lambda lo, hi: _pair_rows(m, lo, hi)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _canonical_csr(m) -> csr_array:
-    """A float CSR copy of m whose stored entries are its nonzeros, with
+def _canonical_csc(m) -> csc_array:
+    """A float CSC copy of m whose stored entries are its nonzeros, with
     sorted indices."""
-    m = csr_array(m, dtype=float, copy=True)
+    m = csc_array(m, dtype=float, copy=True)
     m.sum_duplicates()
     m.eliminate_zeros()
     return m
@@ -133,7 +122,7 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     selection picks each sample's k nearest, and only samples with a tie
     at the k-th distance, where that pick is ambiguous, are fully sorted.
     It holds the n x n distances and temporaries of one block of rows. The
-    graph is returned as a CSR array of its n k entries.
+    graph is returned as a CSC array of its n k entries.
     """
     x = require_finite("feature matrix", x_v, 2)
     n = x.shape[0]
@@ -174,7 +163,7 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     weights /= weights.sum(axis=0)
 
     cols = np.broadcast_to(cols, neighbors.shape)
-    matrix = csr_array((weights.ravel(), (neighbors.ravel(), cols.ravel())), shape=(n, n))
+    matrix = csc_array((weights.ravel(), (neighbors.ravel(), cols.ravel())), shape=(n, n))
     return AffinityGraph(matrix=matrix)
 
 
@@ -182,7 +171,7 @@ def laplacian_of(s: AffinityGraph) -> np.ndarray:
     """Laplacian D - A of the symmetrized weights A = (S + S^T)/2, with
     D = diag(row sums of A): exactly symmetric, PSD, zero row sums up to
     round-off. A new writable n x n array on each call, not cached: rows
-    0..n of ``AffinityGraph.laplacian_rows``. A CSR graph gives bitwise its
+    0..n of ``AffinityGraph.laplacian_rows``. A sparse graph gives bitwise its
     dense form's Laplacian."""
     return s.laplacian_rows(0, s.n)
 

@@ -14,7 +14,7 @@ Passes over an n x n array run one block of rows at a time
 import numpy as np
 from scipy import linalg
 
-from .errors import ConfigError, NumericError, require_finite, require_integers
+from .errors import ConfigError, NumericError, require_finite, require_integers, require_numeric
 
 # Relative Tikhonov ridge applied once when a Cholesky factorization fails.
 SPD_RIDGE_SCALE = 1e-10
@@ -55,7 +55,7 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    a = require_numeric("matrix", a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -117,7 +117,7 @@ def smallest_k_eigen(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     largest-magnitude entry is positive, which makes outputs deterministic
     up to degenerate eigenvalue ties.
     """
-    m = _square(np.array(m, dtype=float))
+    m = _square(m).copy()
     require_integers("k", k, least=1)
     if k > len(m):
         raise ConfigError(f"k must be at most {len(m)}, the matrix order, got {k}")
@@ -153,7 +153,7 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     sym = symmetrized(a)
     n = len(sym)
-    b = np.asarray(b, dtype=float)
+    b = require_numeric("right-hand side", b)
     if b.shape[0] != n:
         raise ConfigError(f"right-hand side has {b.shape[0]} rows, matrix is {n}x{n}")
     if not np.isfinite(b).all():

@@ -38,10 +38,11 @@ X^T X or K.
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 import math
+import numbers
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, require_integers
+from .errors import ConfigError, NumericError, require_integers, require_numeric
 from .graph import AffinityGraph, connected_components, laplacian_of
 from .numerics import (
     _bottom_eigenpairs, _row_blocks, project_simplex_columns, solve_spd, squared_distances,
@@ -75,8 +76,10 @@ class Hyperparams:
         require_integers("max_outer_iters", self.max_outer_iters, least=1)
         for name in ("alpha", "beta", "gamma", "epsilon", "tol_rel_objective"):
             value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
+            if not (isinstance(value, numbers.Real) and value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not isinstance(self.adaptive_alpha, (bool, np.bool_)):
+            raise ConfigError(f"adaptive_alpha must be True or False, got {self.adaptive_alpha!r}")
 
 
 @dataclass
@@ -157,10 +160,10 @@ def _view_grams(s: np.ndarray, views: list[AffinityGraph]) -> np.ndarray:
 
 
 def _regularized_gram(gram: np.ndarray, gamma: float, gamma_diag: np.ndarray) -> np.ndarray:
-    """Q = X^T X + gamma * diag(gamma_diag) from X^T X, which is left unchanged."""
-    q = gram.copy()
-    q[np.diag_indices_from(q)] += gamma * gamma_diag
-    return q
+    """Q = X^T X + gamma * diag(gamma_diag), formed in the given X^T X, a
+    new array the caller gives up, and returned."""
+    gram[np.diag_indices_from(gram)] += gamma * gamma_diag
+    return gram
 
 
 def _uses_dual_form(x: np.ndarray) -> bool:
@@ -411,7 +414,7 @@ def initialize(
     graphs (the shift vanishes at F = 0), and ``update_f`` the indicator
     from the embedding operator of that structure and its paired projection.
     """
-    x = np.asarray(x, dtype=float)
+    x = require_numeric("stacked feature matrix", x)
     n = _check_problem(views, x, hp)
     d = x.shape[1]
     state = SolverState(p=np.zeros((d, hp.k)), f=np.zeros((n, hp.k)), s=None,
@@ -463,7 +466,7 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
     change alpha do not count toward convergence. Non-convergence leaves
     state.converged False rather than raising.
     """
-    x = np.asarray(x, dtype=float)
+    x = require_numeric("stacked feature matrix", x)
     state = initialize(views, x, hp)
     current = hp
     for it in range(1, hp.max_outer_iters + 1):

@@ -23,7 +23,7 @@ def random_affinity(rng: np.random.Generator, n: int, zero_diag: bool = False) -
 
 
 def dense(g: AffinityGraph) -> np.ndarray:
-    """A graph's matrix as a dense array; kNN view graphs are stored as CSR."""
+    """A graph's matrix as a dense array; kNN view graphs are stored as CSC."""
     return g.matrix.toarray() if issparse(g.matrix) else g.matrix
 
 

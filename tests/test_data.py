@@ -171,6 +171,12 @@ def test_written_matrix_reloads_bitwise(tmp_path):
     assert _load_raw(tmp_path, (tmp_path / "a.txt").read_text()).tobytes() == a.tobytes()
 
 
+def test_non_numeric_matrix_is_a_config_error_and_writes_nothing(tmp_path):
+    with pytest.raises(ConfigError, match="^matrix must be numeric"):
+        write_matrix(tmp_path / "a.txt", [["1", "x"]])
+    assert not (tmp_path / "a.txt").exists()
+
+
 def test_successful_parse_makes_no_per_cell_pass(tmp_path, monkeypatch):
     # A valid file is read in one pass: each data line is split exactly once.
     split = []

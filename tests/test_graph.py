@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph, csr_array, csr_matrix, issparse
+from scipy.sparse import csc_array, csgraph, csr_array, csr_matrix, issparse
 
 from acsl.errors import ConfigError
 from acsl.graph import (
@@ -173,6 +173,11 @@ def test_affinity_graph_defects_are_config_errors():
         AffinityGraph(np.ones((3, 3)))
 
 
+def test_non_numeric_affinity_matrix_is_a_config_error():
+    with pytest.raises(ConfigError, match="^affinity matrix must be numeric"):
+        AffinityGraph(np.array([["x"]]))
+
+
 def test_affinity_rejects_bad_neighbor_counts():
     x = np.zeros((4, 2))
     with pytest.raises(ConfigError):
@@ -251,10 +256,18 @@ def test_dense_and_csr_graphs_reject_a_defect_with_the_same_message(name):
 def test_view_graph_is_a_canonical_csr_array():
     x = np.random.default_rng(22).normal(size=(25, 3))
     g = build_view_affinity(x, 4)
-    assert isinstance(g.matrix, csr_array)
+    assert isinstance(g.matrix, csc_array)
     assert g.matrix.has_canonical_format
     assert g.matrix.nnz == 25 * 4
     assert (g.matrix.data > 0).all()
+
+
+def test_a_sparse_input_is_stored_as_a_canonical_csc_array():
+    m = build_view_affinity(np.random.default_rng(25).normal(size=(12, 3)), 3).matrix
+    g = AffinityGraph(csr_array(m))
+    assert isinstance(g.matrix, csc_array)
+    assert g.matrix.has_canonical_format
+    assert g.matrix.toarray().tobytes() == m.toarray().tobytes()
 
 
 def test_csr_graph_reads_like_its_dense_form():
@@ -361,14 +374,24 @@ def test_laplacian_row_blocks_stitch_to_bitwise_the_whole_laplacian():
             assert dense_lap.tobytes() == lap.tobytes()
 
 
-def test_derived_arrays_are_cached_and_read_only():
+def _assert_support_is_formed_anew(g):
+    # New arrays on each call: writing into them changes neither the graph
+    # nor the next call.
+    first, matrix = g.support, dense(g).copy()
+    assert all(a is not b for a, b in zip(first, g.support))
+    for a in first:
+        a[:] = 0
+    assert np.array_equal(dense(g), matrix)
+    cols, rows = np.nonzero(matrix.T)  # column-major, rows ascending in each column
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(g.support, (rows, cols, matrix[rows, cols])))
+
+
+def test_derived_arrays_are_formed_anew():
     g = build_view_affinity(np.random.default_rng(19).normal(size=(20, 4)), 5)
     _assert_laplacian_is_formed_anew(g)
-    assert g.support is g.support
-    for a in g.support:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 1.0
+    _assert_support_is_formed_anew(g)
+    _assert_support_is_formed_anew(random_affinity(np.random.default_rng(26), 9))
     rows, cols, values = g.support
     assert np.array_equal(np.bincount(cols, minlength=g.n), np.full(g.n, 5))
     scattered = np.zeros((g.n, g.n))
@@ -383,9 +406,8 @@ def test_pickled_view_graph_round_trips():
     assert np.array_equal(h.matrix.toarray(), g.matrix.toarray())
     assert np.array_equal(laplacian_of(h), lap)
     assert all(np.array_equal(a, b) for a, b in zip(h.support, support))
-    # The support is recomputed, not carried over, so it stays read-only.
     _assert_laplacian_is_formed_anew(h)
-    assert not any(a.flags.writeable for a in h.support)
+    _assert_support_is_formed_anew(h)
 
 
 # ----------------------------------------------------------------- components

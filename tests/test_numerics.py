@@ -404,6 +404,17 @@ def test_square_and_right_hand_side_defects_are_config_errors():
         solve_spd(np.eye(2), np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("name, call", [
+    ("matrix", lambda: symmetrized([["x"]])),
+    ("matrix", lambda: smallest_k_eigen([["1", "x"], ["0", "1"]], 1)),
+    ("matrix", lambda: solve_spd([["x"]], [1.0])),
+    ("right-hand side", lambda: solve_spd(np.eye(1), ["x"])),
+], ids=["symmetrized", "smallest_k_eigen", "solve_spd-matrix", "solve_spd-rhs"])
+def test_non_numeric_matrix_or_right_hand_side_is_a_config_error(name, call):
+    with pytest.raises(ConfigError, match=f"^{name} must be numeric"):
+        call()
+
+
 def test_projections_below_the_float64_threshold_are_numeric_errors():
     with pytest.raises(NumericError, match="simplex threshold"):
         project_simplex(np.array([-1e20, -1e20]))

@@ -89,6 +89,20 @@ def test_hyperparams_reject_non_finite_weights(name, value):
         Hyperparams(k=3, **{name: value})
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "epsilon", "tol_rel_objective"])
+@pytest.mark.parametrize("value", ["1", None])
+def test_hyperparams_reject_weights_that_are_not_real_numbers(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be positive and finite"):
+        Hyperparams(k=3, **{name: value})
+
+
+@pytest.mark.parametrize("value", ["no", 1])
+def test_hyperparams_reject_an_adaptive_alpha_that_is_not_a_flag(value):
+    with pytest.raises(ConfigError, match="^adaptive_alpha must be True or False"):
+        Hyperparams(k=3, adaptive_alpha=value)
+    assert Hyperparams(k=3, adaptive_alpha=np.bool_(True)).adaptive_alpha
+
+
 @pytest.mark.parametrize("name,value,shape", [
     ("alpha", 1e308, {}), ("beta", 1e308, {}), ("gamma", 1e308, {}),
     ("gamma", 1e308, WIDE), ("gamma", 1e-320, WIDE),
@@ -110,6 +124,13 @@ def test_non_finite_stacked_matrix_is_rejected_before_any_block(entry, shape, mo
     monkeypatch.setattr(solver, "update_f", None)  # never reached
     with pytest.raises(ConfigError, match="stacked feature matrix has non-finite entries"):
         fit(graphs, x, hp)
+
+
+@pytest.mark.parametrize("call", [fit, initialize])
+def test_non_numeric_stacked_matrix_is_a_config_error(call):
+    graphs, x, _, hp = blob_problem(3)
+    with pytest.raises(ConfigError, match="^stacked feature matrix must be numeric"):
+        call(graphs, np.full(x.shape, "a"), hp)
 
 
 @pytest.mark.parametrize("alpha", [1e40, 1e300, 5e307])

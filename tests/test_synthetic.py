@@ -86,3 +86,11 @@ def test_generator_validates_arguments():
             generate_synthetic(3, 2, [(5, noise, 0.5)], seed=0)
     with pytest.raises(ConfigError, match="seed must be non-negative"):
         generate_synthetic(3, 2, [(5, 0.1, 0.5)], seed=-1)
+
+
+@pytest.mark.parametrize("value", ["a", None])
+def test_generator_rejects_a_noise_level_or_fraction_that_is_not_a_real_number(value):
+    with pytest.raises(ConfigError, match="^noise_level must be nonnegative and finite"):
+        generate_synthetic(5, 2, [(10, value, 0.5)], seed=0)
+    with pytest.raises(ConfigError, match="^informative_fraction must be in"):
+        generate_synthetic(5, 2, [(10, 1.0, value)], seed=0)
