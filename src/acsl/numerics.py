@@ -6,9 +6,12 @@ inputs unchanged. Square inputs are symmetrized on entry, which tolerates
 round-off asymmetry and is their one finiteness check (``symmetrized``:
 NumericError on a NaN, inf or overflow).
 
-Passes over an n x n array run one block of rows at a time
-(``_row_blocks``), so their temporaries hold about BLOCK_ITEMS doubles
-(256 KB) rather than another n x n array. A matrix that small is one block.
+Passes over an n x n array run one block of rows (or of columns) at a
+time (``_row_blocks``), so their temporaries hold about BLOCK_ITEMS
+doubles (256 KB) rather than another n x n array. A matrix that small is
+one block. The solver hands some arrays it gives up to private in-place
+twins of the public kernels (``_bottom_eigenpairs``, ``_solve_spd``,
+``_project_simplex_columns``), which write their results there.
 """
 
 import numpy as np
@@ -85,20 +88,30 @@ def _pair_rows(a: np.ndarray, lo: int, hi: int, start: int = 0) -> np.ndarray:
 
 
 def _symmetrize(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out <- (a + a.T) / 2, one block of rows and its mirror block of
-    columns at a time (``_pair_rows``), so every entry has the bits of
-    ``0.5 * (a + a.T)``; returns out, which may be a itself. A block reads
-    only entries that no earlier block has written. Raises NumericError
-    if an entry is not finite, leaving out partly written."""
-    n = a.shape[0]
+    """out <- (a + a.T) / 2 (``_symmetric_rows``); returns out, which may
+    be a itself."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in _row_blocks(n, n):
-            part = _pair_rows(a, lo, hi, start=lo)
-            part *= 0.5
-            _check_finite(part)
-            out[lo:hi, lo:] = part
-            out[hi:, lo:hi] = part[:, hi - lo:].T
+        for _ in _symmetric_rows(a, out):
+            pass
     return out
+
+
+def _symmetric_rows(a: np.ndarray, out: np.ndarray):
+    """Write out <- (a + a.T) / 2 one block of rows and its mirror block of
+    columns at a time (``_pair_rows``), so every entry has the bits of
+    ``0.5 * (a + a.T)``; out may be a itself. Yields each block's (lo, hi)
+    once rows lo:hi of out are whole. A block reads only entries that no
+    earlier block has written, nor any row of an earlier block, so the
+    caller may rewrite rows lo:hi before it asks for the next block. Raises
+    NumericError if an entry is not finite, leaving out partly written."""
+    n = a.shape[0]
+    for lo, hi in _row_blocks(n, n):
+        part = _pair_rows(a, lo, hi, start=lo)
+        part *= 0.5
+        _check_finite(part)
+        out[lo:hi, lo:] = part
+        out[hi:, lo:hi] = part[:, hi - lo:].T
+        yield lo, hi
 
 
 def smallest_k_eigen(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,6 +156,24 @@ def _bottom_eigenpairs(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ y = b for symmetric positive definite a via Cholesky.
 
+    a and b are left unchanged: the solution is formed in a Fortran-ordered
+    copy of b (``_solve_spd``).
+    """
+    n = len(_square(a))
+    b = require_numeric("right-hand side", b)
+    if b.shape[0] != n:
+        raise ConfigError(f"right-hand side has {b.shape[0]} rows, matrix is {n}x{n}")
+    if not np.isfinite(b).all():
+        raise ConfigError("right-hand side has non-finite entries")
+    return _solve_spd(a, np.array(b, order="F"))
+
+
+def _solve_spd(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``solve_spd`` into b itself, a finite Fortran-ordered float64 array
+    with len(a) rows that the caller gives up: the solution overwrites it
+    and is returned, with the bits a copy of b would get. Without b, the
+    identity, formed in Fortran order once a is factored: a^{-1}.
+
     a is left unchanged. The factorization overwrites the exactly symmetric
     copy that ``symmetrized`` makes, through its transpose (the same matrix
     in Fortran order, as in ``_bottom_eigenpairs``), so no third n x n array
@@ -153,11 +184,6 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     sym = symmetrized(a)
     n = len(sym)
-    b = require_numeric("right-hand side", b)
-    if b.shape[0] != n:
-        raise ConfigError(f"right-hand side has {b.shape[0]} rows, matrix is {n}x{n}")
-    if not np.isfinite(b).all():
-        raise ConfigError("right-hand side has non-finite entries")
     try:
         factor = linalg.cho_factor(sym.T, lower=True, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError as first:
@@ -172,7 +198,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 f"matrix is not positive definite (ridge {delta:.3e} did not help): "
                 f"{first}; smallest eigenvalue {smallest:.6e}"
             ) from exc
-    return linalg.cho_solve(factor, b, check_finite=False)
+    if b is None:
+        b = np.eye(n, order="F")
+    return linalg.cho_solve(factor, b, overwrite_b=True, check_finite=False)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -202,23 +230,37 @@ def project_simplex_columns(m: np.ndarray) -> np.ndarray:
     maximum max_r (u_1 + ... + u_r - 1) / r (Duchi et al. 2008; Condat 2016).
     In exact arithmetic theta < u_1; a column whose largest entry does not
     exceed theta in float64 (|u| >= 2^53) would map off the simplex and
-    raises NumericError.
+    raises NumericError. m is left unchanged: the projection is formed in a
+    copy (``_project_simplex_columns``).
     """
-    m = require_finite("matrix", m, 2)
-    # One negated column per row, contiguous and sorted ascending: each row
-    # is -u. Negation is exact, so the running sums and thresholds below are
-    # exactly those of u with their signs flipped, all formed in place.
-    u = np.negative(m.T, order="C")
-    u.sort(axis=1)
-    largest = -u[:, 0]
-    np.cumsum(u, axis=1, out=u)
-    u += 1.0
-    u /= np.arange(1.0, m.shape[0] + 1)
-    theta = -u.min(axis=1)
-    del u
-    empty = np.flatnonzero(largest <= theta)
-    if empty.size:
-        raise NumericError(f"column {empty[0]} has no entry above the simplex threshold "
-                           "in float64")
-    out = m - theta
-    return np.maximum(out, 0.0, out=out)
+    return _project_simplex_columns(require_finite("matrix", m, 2).copy())
+
+
+def _project_simplex_columns(m: np.ndarray) -> np.ndarray:
+    """``project_simplex_columns`` in m itself, a finite C-ordered float64
+    array the caller gives up, and returned. The columns are projected one
+    block at a time, each block's temporaries about BLOCK_ITEMS doubles; a
+    column's projection reads that column alone, so every entry has the
+    bits of the whole. Raises NumericError leaving m partly written."""
+    rows, cols = m.shape
+    for lo, hi in _row_blocks(cols, rows):
+        block = m[:, lo:hi]
+        # One negated column per row, contiguous and sorted ascending: each
+        # row is -u. Negation is exact, so the running sums and thresholds
+        # below are exactly those of u with their signs flipped, all formed
+        # in place.
+        u = np.negative(block.T, order="C")
+        u.sort(axis=1)
+        largest = -u[:, 0]
+        np.cumsum(u, axis=1, out=u)
+        u += 1.0
+        u /= np.arange(1.0, rows + 1)
+        theta = -u.min(axis=1)
+        del u
+        empty = np.flatnonzero(largest <= theta)
+        if empty.size:
+            raise NumericError(f"column {lo + empty[0]} has no entry above the simplex "
+                               "threshold in float64")
+        block -= theta
+        np.maximum(block, 0.0, out=block)
+    return m

@@ -38,14 +38,16 @@ X^T X or K.
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 import math
-import numbers
 
 import numpy as np
+from scipy.linalg import blas
+from scipy.sparse import csc_array, issparse
 
-from .errors import ConfigError, NumericError, require_integers, require_numeric
-from .graph import AffinityGraph, connected_components, laplacian_of
+from .errors import ConfigError, NumericError, is_number, require_integers, require_numeric
+from .graph import AffinityGraph, connected_components
 from .numerics import (
-    _bottom_eigenpairs, _row_blocks, project_simplex_columns, solve_spd, squared_distances,
+    _bottom_eigenpairs, _project_simplex_columns, _row_blocks, _solve_spd, _symmetric_rows,
+    solve_spd, squared_distances,
 )
 
 
@@ -76,7 +78,7 @@ class Hyperparams:
         require_integers("max_outer_iters", self.max_outer_iters, least=1)
         for name in ("alpha", "beta", "gamma", "epsilon", "tol_rel_objective"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0 and math.isfinite(value)):
+            if not (is_number(value) and value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not isinstance(self.adaptive_alpha, (bool, np.bool_)):
             raise ConfigError(f"adaptive_alpha must be True or False, got {self.adaptive_alpha!r}")
@@ -124,15 +126,23 @@ def _check_problem(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -
 
 
 def _fused_columns(views: list[AffinityGraph], w: np.ndarray) -> np.ndarray:
-    """Column j of the result is sum_v w[v, j] * views[v][:, j].
+    """Column j of the result is sum_v w[v, j] * views[v][:, j]."""
+    n = views[0].n
+    return _fused_slice([g.support for g in views], w, n, 0, n)
+
+
+def _fused_slice(supports: list, w: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """Columns lo:hi of the fusion, from the views' supports (rows, cols,
+    values) in column-major order.
 
     Each view adds its products on its support only, in view order: O(V n k)
     for kNN views. Off the supports the dense sum adds only zeros to +0.
+    So every entry has the bits it has in the whole fusion.
     """
-    fused = np.zeros((views[0].n,) * 2)
-    for v, g in enumerate(views):
-        rows, cols, values = g.support
-        fused[rows, cols] += values * w[v, cols]
+    fused = np.zeros((n, hi - lo))
+    for v, (rows, cols, values) in enumerate(supports):
+        a, b = np.searchsorted(cols, (lo, hi))  # these columns' support, a slice
+        fused[rows[a:b], cols[a:b] - lo] += values[a:b] * w[v, cols[a:b]]
     return fused
 
 
@@ -172,14 +182,23 @@ def _uses_dual_form(x: np.ndarray) -> bool:
     return x.shape[1] > x.shape[0]
 
 
+def _uniform_fusion(views: list[AffinityGraph]) -> AffinityGraph:
+    """The fusion at uniform view weights as a CSC array, summed from the
+    views' supports without a dense n x n array."""
+    rows, cols, values = (np.concatenate(part) for part in zip(*(g.support for g in views)))
+    n = views[0].n
+    return AffinityGraph(csc_array((values * (1.0 / len(views)), (rows, cols)), shape=(n, n)))
+
+
 def _dual_solve(
-    x: np.ndarray, gamma: float, gamma_diag: np.ndarray, b: np.ndarray
+    x: np.ndarray, gamma: float, gamma_diag: np.ndarray, b: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(K^{-1} b, sqrt(diag D)) with K = I + X D X^T, D = (gamma * diag(gamma_diag))^{-1}.
 
     K is built as Y Y^T + I with Y = X sqrt(D), a symmetric rank-d product.
     The n x d Y is dropped before K is factored; a caller that needs it
-    forms it again, with the same bits, as ``x * root``.
+    forms it again, with the same bits, as ``x * root``. Without b, K^{-1}
+    itself, solved in place into the identity (``numerics._solve_spd``).
     """
     scaled = gamma * gamma_diag
     if not np.isfinite(scaled).all():  # an inf would give K = I: finite but wrong
@@ -189,6 +208,8 @@ def _dual_solve(
     k = y @ y.T
     del y
     k[np.diag_indices_from(k)] += 1.0
+    if b is None:
+        return _solve_spd(k), root
     return solve_spd(k, b), root
 
 
@@ -242,40 +263,73 @@ def update_p(
     return _solve_projection(x, state.f, hp.gamma, weights), weights
 
 
-@np.errstate(all="ignore")
+def _dense_copy(s: AffinityGraph) -> np.ndarray:
+    """S as a new C-ordered float64 array."""
+    m = s.matrix
+    return m.toarray(order="C") if issparse(m) else np.array(m, dtype=float, order="C")
+
+
 def _embedding_operator(
     s: AffinityGraph, x: np.ndarray, gamma_diag: np.ndarray, hp: Hyperparams
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """(alpha * L_S + beta * C, F -> Q^{-1} X^T F) with C = I - X Q^{-1} X^T,
-    both from one factorization; see ``update_f``. When d > n, C = K^{-1} and
-    Q^{-1} X^T F = D X^T K^{-1} F (module docstring). Otherwise P comes from
-    Q^{-1} X^T itself, not from the residual X^T C F, whose round-off
-    (gamma G)^{-1} would amplify. ``_bottom_eigenpairs`` symmetrizes and checks it.
+    """``_embedding_operator_in_place`` in a dense copy of S; s is left
+    unchanged."""
+    return _embedding_operator_in_place(_dense_copy(s), x, gamma_diag, hp)
 
-    alpha L_S is added one block of rows at a time, each formed from S
-    (``AffinityGraph.laplacian_rows``), so the operator is the only n x n
-    array formed here.
+
+@np.errstate(all="ignore")
+def _embedding_operator_in_place(
+    a: np.ndarray, x: np.ndarray, gamma_diag: np.ndarray, hp: Hyperparams
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """(alpha * L_S + beta * C, F -> Q^{-1} X^T F) with C = I - X Q^{-1} X^T,
+    both from one factorization; see ``update_f``. When d > n, C = K^{-1}
+    and Q^{-1} X^T F = D X^T K^{-1} F (module docstring). Otherwise P comes
+    from Q^{-1} X^T itself, not from the residual X^T C F, whose round-off
+    (gamma G)^{-1} would amplify. ``_bottom_eigenpairs`` symmetrizes and
+    checks the operator.
+
+    The operator is formed in a, the dense S's own C-ordered float64 array,
+    which the caller gives up: alpha L_S one block of rows and its mirror
+    columns at a time (``numerics._symmetric_rows``), each entry with the
+    bits of ``alpha * laplacian_of(S)``; then beta C, by blocks of rows of
+    K^{-1} when d > n, else as beta on the diagonal and one GEMM.
     """
     n = x.shape[0]
-    if _uses_dual_form(x):
-        complement, root = _dual_solve(x, hp.gamma, gamma_diag, np.eye(n))
+    dual = _uses_dual_form(x)
+    if dual:
+        complement, root = _dual_solve(x, hp.gamma, gamma_diag)
         def project(f: np.ndarray) -> np.ndarray:
             return root[:, None] * ((x * root).T @ (complement @ f))
-        operator = hp.beta * complement  # a copy: project keeps complement
     else:
         q = _regularized_gram(x.T @ x, hp.gamma, gamma_diag)
         back = solve_spd(q, x.T)  # Q^{-1} X^T without forming the inverse
         def project(f: np.ndarray) -> np.ndarray:
             return back @ f
-        operator = x @ back
-        np.subtract(0.0, operator, out=operator)  # I - X back, with no n x n I
-        operator[np.diag_indices(n)] += 1.0
-        operator *= hp.beta
-    for lo, hi in _row_blocks(n, n):
-        part = s.laplacian_rows(lo, hi)
-        part *= hp.alpha
-        operator[lo:hi] += part
-    return operator, project
+    for lo, hi in _symmetric_rows(a, a):
+        rows = a[lo:hi]  # (S + S^T) / 2, whole: no later block reads these rows
+        degree = rows.sum(axis=1)
+        np.subtract(0.0, rows, out=rows)  # 0 - a_ij, as diag(degree) - A has it
+        rows[np.arange(hi - lo), np.arange(lo, hi)] += degree
+        rows *= hp.alpha
+        if dual:
+            rows += hp.beta * complement[lo:hi]
+    if dual:
+        return a, project
+    a[np.diag_indices(n)] += hp.beta
+    # a.T is a in Fortran order: there, a <- a - beta X back is
+    # a.T <- a.T - beta back^T X^T, one GEMM with no n x n temporary.
+    a = blas.dgemm(-hp.beta, back, x.T, beta=1.0, c=a.T, trans_a=True, overwrite_c=True).T
+    return a, project
+
+
+def _update_f_in_place(
+    a: np.ndarray, x: np.ndarray, gamma_diag: np.ndarray, hp: Hyperparams
+) -> tuple[np.ndarray, np.ndarray]:
+    """``update_f`` in a, the dense S's own C-ordered float64 array, which
+    the caller gives up: it becomes the operator, solved in place."""
+    m, project = _embedding_operator_in_place(a, x, gamma_diag, hp)
+    _, f = _bottom_eigenpairs(m, hp.k)
+    return f, project(f)
 
 
 def update_f(
@@ -296,12 +350,12 @@ def update_f(
     also gives the matching P = Q^{-1} X^T F: when d > n, X^T C = (Q - X^T X)
     Q^{-1} X^T = gamma G Q^{-1} X^T turns it into P = (gamma G)^{-1} X^T
     (C F) with C = K^{-1}, for O(n^2 k + n d k). So the update costs
-    O(min(n, d)^3 + n d min(n, d)) plus the eigensolve, which
-    ``_bottom_eigenpairs`` runs in the operator's own array, uncopied.
+    O(min(n, d)^3 + n d min(n, d)) plus the eigensolve.
+
+    state.s is read, never written: the update runs in a dense copy of S
+    (``_update_f_in_place``), whereas ``fit`` gives up S's own array.
     """
-    m, project = _embedding_operator(state.s, x, state.gamma_diag, hp)
-    _, f = _bottom_eigenpairs(m, hp.k)
-    return f, project(f)
+    return _update_f_in_place(_dense_copy(state.s), x, state.gamma_diag, hp)
 
 
 @np.errstate(all="ignore")
@@ -323,21 +377,26 @@ def update_s(
     a constant, so its minimizer on the simplex is the Euclidean projection
     of b_j - (alpha / 4) a_j.
 
+    The fused columns are the only n x n array: the shift is subtracted by
+    blocks of rows, and the columns projected in place by blocks
+    (``numerics._project_simplex_columns``).
+
     Raises NumericError when alpha is so large that the shifted columns
     overflow or their projection misses the simplex in float64: (alpha / 4)
     times the round-off in a_jj (about 1e34 on the README data) swamps the
     simplex's sum of 1.
     """
     shifted = _fused_columns(views, state.w)
-    # In place, with the same scalar (so the same bits): the first elided
-    # temporary of a process raises its peak RSS. The shift is dropped
-    # before the projection, which forms one more n x n array.
-    shift = squared_distances(state.f, state.f)
-    shift *= 0.25 * hp.alpha
-    shifted -= shift
-    del shift
+    scale = 0.25 * hp.alpha
     try:
-        return AffinityGraph(project_simplex_columns(shifted))
+        for lo, hi in _row_blocks(*shifted.shape):
+            shift = squared_distances(state.f[lo:hi], state.f)
+            shift *= scale
+            rows = shifted[lo:hi]
+            rows -= shift
+            if not np.isfinite(rows).all():
+                raise NumericError("the shifted columns overflow")
+        return AffinityGraph(_project_simplex_columns(shifted))
     except ValueError as exc:
         raise NumericError(f"S leaves the simplex at alpha {hp.alpha:g}: {exc}") from exc
 
@@ -389,15 +448,20 @@ def objective(
     fusion residual + alpha * Tr(F^T L_S F) + beta * (||X P - F||^2
     + gamma * sum of row norms of P).
 
-    The fusion residual is dropped before L_S is formed, so at most one
-    n x n array besides S is held at a time.
+    The fusion residual and Tr(F^T L_S F) are summed by blocks of columns
+    and of rows (L_S is symmetric), so no n x n array besides S is formed;
+    where one block covers them all, each has the bits of its dense formula.
     """
-    resid_s = _fused_columns(views, state.w)
-    np.subtract(state.s.matrix, resid_s, out=resid_s)
-    fusion = float(np.sum(np.square(resid_s, out=resid_s)))
-    del resid_s
-    lap = laplacian_of(state.s)
-    spectral = float(np.sum(state.f * (lap @ state.f)))
+    s, n = state.s, state.s.n
+    supports = [g.support for g in views]
+    fusion = spectral = 0.0
+    for lo, hi in _row_blocks(n, n):
+        resid_s = _fused_slice(supports, state.w, n, lo, hi)
+        np.subtract(s.matrix[:, lo:hi], resid_s, out=resid_s)
+        fusion += float(np.sum(np.square(resid_s, out=resid_s)))
+        del resid_s
+        lap = s.laplacian_rows(lo, hi)
+        spectral += float(np.sum(state.f[lo:hi] * (lap @ state.f)))
     resid_f = x @ state.p - state.f
     fit = float(np.sum(resid_f * resid_f))
     sparsity = float(np.sqrt(np.sum(state.p * state.p, axis=1)).sum())
@@ -410,9 +474,13 @@ def initialize(
     """Starting state: the S and (F, P) steps from a fixed start.
 
     From uniform view weights, F = 0, P = 0 and unit reweighting (G = I),
-    ``update_s`` gives the projection of the uniform fusion of the view
+    ``update_s`` gives S_0, the projection of the uniform fusion of the view
     graphs (the shift vanishes at F = 0), and ``update_f`` the indicator
     from the embedding operator of that structure and its paired projection.
+    The uniform fusion's columns lie on the simplex, so it is its own
+    projection: ``update_f`` reads it, held sparse, in place of S_0 (they
+    differ by round-off), and S_0 is formed after it, so the operator and
+    S_0 are never held together.
     """
     x = require_numeric("stacked feature matrix", x)
     n = _check_problem(views, x, hp)
@@ -420,8 +488,10 @@ def initialize(
     state = SolverState(p=np.zeros((d, hp.k)), f=np.zeros((n, hp.k)), s=None,
                         w=np.full((len(views), n), 1.0 / len(views)),
                         gamma_diag=np.ones(d))
+    state.s = _uniform_fusion(views)
+    f, p = update_f(state, x, hp)
     state.s = update_s(state, views, hp)
-    state.f, state.p = update_f(state, x, hp)
+    state.f, state.p = f, p
     _record(state, views, x, hp)
     return state
 
@@ -465,6 +535,9 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
     fewer than k components and halves while it has more; iterations that
     change alpha do not count toward convergence. Non-convergence leaves
     state.converged False rather than raising.
+
+    ``update_s`` does not read S, so the outgoing S's own array becomes the
+    operator (``_update_f_in_place``): the primal loop holds one n x n array.
     """
     x = require_numeric("stacked feature matrix", x)
     state = initialize(views, x, hp)
@@ -472,8 +545,8 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
     for it in range(1, hp.max_outer_iters + 1):
         try:
             state.p, state.gamma_diag = update_p(state, x, current)
-            state.f, state.p = update_f(state, x, current)
-            state.s = None  # update_s does not read it; its array is freed first
+            state.f, state.p = _update_f_in_place(state.s.matrix, x, state.gamma_diag, current)
+            state.s = None
             state.s = update_s(state, views, current)
             state.w = update_w(state, views)
         except NumericError as exc:

@@ -6,12 +6,10 @@ planted indices are recorded on the dataset so selection quality can be
 scored against ground truth.
 """
 
-import numbers
-
 import numpy as np
 
 from .data import MultiViewDataset
-from .errors import ConfigError, require_integers
+from .errors import ConfigError, is_number, require_integers
 
 # Cluster means are drawn from N(0, CLUSTER_SEPARATION^2) per informative
 # dimension; within-cluster spread is the view's noise_level.
@@ -51,9 +49,9 @@ def generate_synthetic(
     informative = []
     for d_v, noise_level, fraction in views:
         require_integers("view dimension", d_v, least=1)
-        if not (isinstance(noise_level, numbers.Real) and 0.0 <= noise_level < np.inf):
+        if not (is_number(noise_level) and 0.0 <= noise_level < np.inf):
             raise ConfigError(f"noise_level must be nonnegative and finite, got {noise_level}")
-        if not (isinstance(fraction, numbers.Real) and 0.0 <= fraction <= 1.0):
+        if not (is_number(fraction) and 0.0 <= fraction <= 1.0):
             raise ConfigError(f"informative_fraction must be in [0, 1], got {fraction}")
         m = int(round(d_v * fraction))
         idx = np.sort(rng.choice(d_v, size=m, replace=False))

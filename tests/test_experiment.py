@@ -247,6 +247,17 @@ def test_run_config_rejects_non_integer_counts(tmp_path, kwargs, message):
         quick_config(tmp_path, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kmeans_restarts": True}, "kmeans_restarts must be an integer, got True"),
+    ({"k_neighbors": np.bool_(True)}, "k_neighbors must be an integer, got np.True_"),
+    ({"l_grid": (10, True)}, "each l_grid entry must be an integer, got True"),
+    ({"eval_seeds": (0, False)}, "each eval_seeds entry must be an integer, got False"),
+], ids=["kmeans_restarts", "k_neighbors", "l_grid", "eval_seeds"])
+def test_run_config_rejects_flags_as_counts(tmp_path, kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        quick_config(tmp_path, **kwargs)
+
+
 def test_run_config_accepts_numpy_integer_counts(tmp_path):
     config = quick_config(tmp_path, k_neighbors=np.int64(8), kmeans_restarts=np.int32(5),
                           l_grid=(np.int64(10),), eval_seeds=(np.int64(0), np.uint8(1)))

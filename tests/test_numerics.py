@@ -478,6 +478,30 @@ def _sorted_reference(m):
     return np.maximum(m - theta, 0.0)
 
 
+def test_in_place_projection_is_the_public_one_by_blocks_of_columns():
+    # At 230 rows a block holds 142 columns: 300 columns take three blocks.
+    rng = np.random.default_rng(12)
+    shape = (230, 300)
+    assert len(_row_blocks(shape[1], shape[0])) == 3
+    for draw in SIMPLEX_INPUTS.values():
+        m = draw(rng, shape)
+        before = m.tobytes()
+        cols = project_simplex_columns(m)
+        assert m.tobytes() == before  # sign bits included
+        ref = _sorted_reference(m)
+        assert np.array_equal(cols, ref) and np.array_equal(np.signbit(cols), np.signbit(ref))
+        a = m.copy()
+        assert numerics._project_simplex_columns(a) is a
+        assert a.tobytes() == cols.tobytes()
+    # A column that misses the simplex is named by its index in the whole.
+    m = SIMPLEX_INPUTS["normal"](rng, shape)
+    m[:, [200, 250]] = -1e20
+    with pytest.raises(NumericError, match="^column 200 has no entry above"):
+        numerics._project_simplex_columns(m.copy())
+    with pytest.raises(NumericError, match="^column 200 has no entry above"):
+        project_simplex_columns(m)
+
+
 def test_project_simplex_columns_is_bitwise_the_column_sort_and_pure():
     rng = np.random.default_rng(11)
     for draw in SIMPLEX_INPUTS.values():

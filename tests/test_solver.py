@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
+from scipy.linalg import blas
+from scipy.sparse import csc_array, csr_array
 
-from acsl import solver
+from acsl import numerics, solver
 from acsl.errors import ConfigError, NumericError
 from acsl.data import zscore_columns
 from acsl.graph import AffinityGraph, build_view_affinity, connected_components, laplacian_of
@@ -23,6 +24,7 @@ from acsl.solver import (
     _regularized_gram,
     _reweighting_of,
     _solve_projection,
+    _update_f_in_place,
     _uses_dual_form,
     _view_grams,
     fit,
@@ -80,6 +82,19 @@ def test_hyperparams_accept_numpy_integer_counts():
     hp = Hyperparams(k=np.int64(3), max_outer_iters=np.int32(2))
     graphs, x, _, _ = blob_problem(3)
     assert fit(graphs, x, hp).iteration == 2
+
+
+@pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool", "numpy_bool"])
+def test_hyperparams_reject_flags_as_counts_and_weights(flag):
+    # bool is an Integral, so True once passed as alpha 1 and one iteration.
+    with pytest.raises(ConfigError, match="^max_outer_iters must be an integer, got True$"):
+        Hyperparams(k=3, alpha=flag, max_outer_iters=True)
+    with pytest.raises(ConfigError, match=f"^max_outer_iters must be an integer, got {flag!r}$"):
+        Hyperparams(k=3, max_outer_iters=flag)
+    with pytest.raises(ConfigError, match=f"^alpha must be positive and finite, got {flag}$"):
+        Hyperparams(k=3, alpha=flag)
+    with pytest.raises(ConfigError, match="^k must be an integer, got True$"):
+        Hyperparams(k=True)
 
 
 @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "epsilon", "tol_rel_objective"])
@@ -393,11 +408,15 @@ def test_embedding_operator_is_bitwise_the_out_of_place_sum(n, d):
     if _uses_dual_form(x):
         complement, root = _dual_solve(x, hp.gamma, state.gamma_diag, np.eye(n))
         p = root[:, None] * ((x * root).T @ (complement @ state.f))
+        expected = hp.alpha * lap + hp.beta * complement
     else:
+        # alpha L + beta I, less beta X Q^-1 X^T by one GEMM, out of place.
         back = solve_spd(_regularized_gram(x.T @ x, hp.gamma, state.gamma_diag), x.T)
-        complement = np.eye(n) - x @ back
         p = back @ state.f
-    assert np.array_equal(m, hp.alpha * lap + hp.beta * complement)
+        expected = hp.alpha * lap
+        expected[np.diag_indices(n)] += hp.beta
+        expected = blas.dgemm(-hp.beta, back, x.T, beta=1.0, c=expected.T, trans_a=True).T
+    assert np.array_equal(m, expected)
     assert np.array_equal(project(state.f), p)  # the operator did not overwrite C
 
 
@@ -407,6 +426,22 @@ def test_solve_projection_matches_explicit_formula(n, d):
     expected = np.linalg.solve(explicit_q(x, hp, state.gamma_diag), x.T @ state.f)
     p = _solve_projection(x, state.f, hp.gamma, state.gamma_diag)
     assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n,d", [(240, 12), (200, 230)], ids=["primal", "dual"])
+def test_update_f_is_the_in_place_route_on_a_copy_of_s(n, d):
+    # n x n passes run in several blocks of rows at these sizes.
+    state, x, hp = dense_state(63, n, d, k=3)
+    assert len(_row_blocks(n, n)) > 1 and _uses_dual_form(x) == (d > n)
+    before = state.s.matrix.tobytes()
+    f, p = update_f(state, x, hp)
+    assert state.s.matrix.tobytes() == before
+    f_in, p_in = _update_f_in_place(state.s.matrix.copy(), x, state.gamma_diag, hp)
+    assert f.tobytes() == f_in.tobytes() and p.tobytes() == p_in.tobytes()
+    # S held as a CSC array, as initialize holds the fusion, gives the same bits.
+    state.s = AffinityGraph(csc_array(state.s.matrix))
+    f_csc, p_csc = update_f(state, x, hp)
+    assert f_csc.tobytes() == f.tobytes() and p_csc.tobytes() == p.tobytes()
 
 
 # The last case has a well-conditioned Q (cond(Q) ~ 8) and a small gamma:
@@ -424,14 +459,21 @@ def test_update_f_projection_solves_the_regularized_system(n, d, gamma, rtol):
     assert np.linalg.norm(p - expected) <= rtol * np.linalg.norm(expected)
 
 
+def _count_factorizations(monkeypatch, calls):
+    """Append the matrix shape of every SPD factorization the solver makes
+    to calls: the solves through solve_spd, and the dual form's K^-1, which
+    is solved into an identity the solver owns (numerics._solve_spd)."""
+    for name, solve in (("solve_spd", solve_spd), ("_solve_spd", numerics._solve_spd)):
+        def counted(a, *b, solve=solve):
+            calls.append(a.shape)
+            return solve(a, *b)
+
+        monkeypatch.setattr(solver, name, counted)
+
+
 def test_initialize_factors_once(monkeypatch):
     calls = []
-
-    def counted(a, b):
-        calls.append(a.shape)
-        return solve_spd(a, b)
-
-    monkeypatch.setattr(solver, "solve_spd", counted)
+    _count_factorizations(monkeypatch, calls)
     for n_per_cluster, d_v in ((4, 20), (10, 3)):  # dual and primal form
         graphs, x, labels, hp = blob_problem(56, n_per_cluster=n_per_cluster, d_v=d_v)
         calls.clear()
@@ -443,12 +485,7 @@ def test_fit_factors_twice_per_outer_iteration(monkeypatch):
     # One solve in initialize, then per outer iteration one reweighted
     # solve in update_p and one in update_f.
     calls = []
-
-    def counted(a, b):
-        calls.append(a.shape)
-        return solve_spd(a, b)
-
-    monkeypatch.setattr(solver, "solve_spd", counted)
+    _count_factorizations(monkeypatch, calls)
     for n_per_cluster, d_v in ((4, 20), (10, 3)):  # dual and primal form
         graphs, x, labels, hp = blob_problem(57, n_per_cluster=n_per_cluster, d_v=d_v,
                                              max_outer_iters=3)
@@ -765,20 +802,38 @@ def test_update_s_is_bitwise_the_out_of_place_shift():
         assert update_s(state, graphs, hp).matrix.tobytes() == expected.tobytes()
 
 
-def test_objective_is_bitwise_the_dense_formula():
-    state, graphs, x, hp = random_state(45)
-    state.s = update_s(state, graphs, hp)
-    state.w = update_w(state, graphs)
+def _dense_objective(state, graphs, x, hp):
+    """The objective by its formula, with the whole fusion residual and
+    Laplacian."""
     fused = sum(v.matrix.toarray() * state.w[i][None, :] for i, v in enumerate(graphs))
     resid_s = state.s.matrix - fused
     a = 0.5 * (state.s.matrix + state.s.matrix.T)
     lap = np.diag(a.sum(axis=1)) - a
     resid_f = x @ state.p - state.f
-    expected = (float(np.sum(resid_s * resid_s))
-                + hp.alpha * float(np.sum(state.f * (lap @ state.f)))
-                + hp.beta * (float(np.sum(resid_f * resid_f))
-                             + hp.gamma * float(np.sqrt(np.sum(state.p * state.p, axis=1)).sum())))
-    assert objective(state, graphs, x, hp) == expected
+    return (float(np.sum(resid_s * resid_s))
+            + hp.alpha * float(np.sum(state.f * (lap @ state.f)))
+            + hp.beta * (float(np.sum(resid_f * resid_f))
+                         + hp.gamma * float(np.sqrt(np.sum(state.p * state.p, axis=1)).sum())))
+
+
+def test_objective_is_bitwise_the_dense_formula():
+    state, graphs, x, hp = random_state(45)
+    assert len(_row_blocks(state.s.n, state.s.n)) == 1
+    state.s = update_s(state, graphs, hp)
+    state.w = update_w(state, graphs)
+    assert objective(state, graphs, x, hp) == _dense_objective(state, graphs, x, hp)
+
+
+def test_blocked_objective_is_the_dense_formula_to_round_off():
+    # At n = 240 the fusion residual and L_S are summed in two blocks of rows.
+    state, graphs, x, hp = random_state(46, n_per_cluster=80, n_views=3)
+    assert len(_row_blocks(state.s.n, state.s.n)) > 1
+    for _ in range(2):
+        value = objective(state, graphs, x, hp)
+        expected = _dense_objective(state, graphs, x, hp)
+        assert abs(value - expected) <= 1e-13 * abs(expected)
+        state.s = update_s(state, graphs, hp)
+        state.w = update_w(state, graphs)
 
 
 def test_objective_matches_naive_double_loop_oracle():
@@ -944,9 +999,11 @@ def test_view_grams_are_bitwise_the_batched_einsum_over_the_stack():
 
 def test_fit_and_view_graphs_stay_within_their_memory_bounds():
     # In units of one n x n array of doubles: three kNN view graphs hold at
-    # most 0.2 of one, a fit's traced peak is at most 2.5 of them (S and one
-    # work array), and update_w adds at most 0.5 at three views and at four
-    # (one stack of a column block's V differences, no n x n buffer).
+    # most 0.2 of one, a fit's traced peak is at most 1.75 of them (S, whose
+    # own array becomes the embedding operator, and block temporaries: a
+    # second n x n array would pass 2), and update_w adds at most 0.5 at
+    # three views and at four (one stack of a column block's V differences,
+    # no n x n buffer).
     dataset, _ = generate_synthetic(200, 3, [(10, 1.0, 0.5)] * 3, seed=0)
     mats = [zscore_columns(v) for v in dataset.views]
     x = np.hstack(mats)
@@ -973,5 +1030,5 @@ def test_fit_and_view_graphs_stay_within_their_memory_bounds():
         if not tracing:
             tracemalloc.stop()
     assert held <= 0.2 * unit
-    assert peak <= 2.5 * unit
+    assert peak <= 1.75 * unit
     assert max(peaks_w) <= 0.5 * unit

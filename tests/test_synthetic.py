@@ -88,6 +88,19 @@ def test_generator_validates_arguments():
         generate_synthetic(3, 2, [(5, 0.1, 0.5)], seed=-1)
 
 
+@pytest.mark.parametrize("flag", [False, np.bool_(False)], ids=["bool", "numpy_bool"])
+def test_generator_rejects_flags_as_seeds_counts_and_levels(flag):
+    # bool is an Integral, so seed=False once named a dataset synthetic-False.
+    with pytest.raises(ConfigError, match=rf"^seed must be an integer, got {flag!r}$"):
+        generate_synthetic(5, 2, [(10, 1.0, 0.5)], seed=flag)
+    with pytest.raises(ConfigError, match=rf"^view dimension must be an integer, got {flag!r}$"):
+        generate_synthetic(5, 2, [(flag, 1.0, 0.5)], seed=0)
+    with pytest.raises(ConfigError, match="^noise_level must be nonnegative and finite"):
+        generate_synthetic(5, 2, [(10, flag, 0.5)], seed=0)
+    with pytest.raises(ConfigError, match="^informative_fraction must be in"):
+        generate_synthetic(5, 2, [(10, 1.0, flag)], seed=0)
+
+
 @pytest.mark.parametrize("value", ["a", None])
 def test_generator_rejects_a_noise_level_or_fraction_that_is_not_a_real_number(value):
     with pytest.raises(ConfigError, match="^noise_level must be nonnegative and finite"):
