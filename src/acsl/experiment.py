@@ -49,11 +49,9 @@ class RunConfig:
         require_integers("k_neighbors", self.k_neighbors, least=1)
         require_integers("kmeans_restarts", self.kmeans_restarts, least=1)
         require_integers("each l_grid entry", *(self.l_grid or ()), least=1)
-        require_integers("each eval_seeds entry", *self.eval_seeds)
+        require_integers("each eval_seeds entry", *self.eval_seeds, least=0)
         if not self.eval_seeds:
             raise ConfigError("at least one evaluation seed is required")
-        # A negative seed is named by the field, as its CLI flag is.
-        require_integers("eval_seeds", *self.eval_seeds, least=0)
         if len(set(self.eval_seeds)) != len(self.eval_seeds):
             raise ConfigError(f"eval_seeds must be distinct, got {self.eval_seeds}")
         if self.l_grid is not None:

@@ -10,9 +10,9 @@ n x n array. Its Laplacian is a plain n x n array either way.
 Nothing derived from a graph is cached: its support and its Laplacian are
 formed where they are used, the Laplacian whole (``laplacian_of``) or one
 block of rows at a time (``AffinityGraph.laplacian_rows``), so that no
-n x n array outlives the step that reads it. The fit also forms alpha L_S
-in the learned structure's own array, which it gives up
-(``solver._embedding_operator_in_place``), with the same bits.
+n x n array outlives the step that reads it. The fit forms neither: it
+reads L_S's diagonal off the degrees of the learned structure and its
+other entries off the structure itself (``solver._degrees``).
 """
 
 from dataclasses import dataclass

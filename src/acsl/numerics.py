@@ -11,7 +11,10 @@ time (``_row_blocks``), so their temporaries hold about BLOCK_ITEMS
 doubles (256 KB) rather than another n x n array. A matrix that small is
 one block. The solver hands some arrays it gives up to private in-place
 twins of the public kernels (``_bottom_eigenpairs``, ``_solve_spd``,
-``_project_simplex_columns``), which write their results there.
+``_project_simplex_columns``), which write their results there. The
+in-place symmetrization on entry to ``_bottom_eigenpairs`` is the one
+pass that pairs the solver's embedding operator with its transpose: the
+solver hands it a matrix whose symmetric part is the operator.
 """
 
 import numpy as np
@@ -88,30 +91,20 @@ def _pair_rows(a: np.ndarray, lo: int, hi: int, start: int = 0) -> np.ndarray:
 
 
 def _symmetrize(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out <- (a + a.T) / 2 (``_symmetric_rows``); returns out, which may
-    be a itself."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in _symmetric_rows(a, out):
-            pass
-    return out
-
-
-def _symmetric_rows(a: np.ndarray, out: np.ndarray):
-    """Write out <- (a + a.T) / 2 one block of rows and its mirror block of
+    """out <- (a + a.T) / 2, one block of rows and its mirror block of
     columns at a time (``_pair_rows``), so every entry has the bits of
-    ``0.5 * (a + a.T)``; out may be a itself. Yields each block's (lo, hi)
-    once rows lo:hi of out are whole. A block reads only entries that no
-    earlier block has written, nor any row of an earlier block, so the
-    caller may rewrite rows lo:hi before it asks for the next block. Raises
-    NumericError if an entry is not finite, leaving out partly written."""
+    ``0.5 * (a + a.T)``; returns out, which may be a itself. A block reads
+    only entries that no earlier block has written. Raises NumericError
+    if an entry is not finite, leaving out partly written."""
     n = a.shape[0]
-    for lo, hi in _row_blocks(n, n):
-        part = _pair_rows(a, lo, hi, start=lo)
-        part *= 0.5
-        _check_finite(part)
-        out[lo:hi, lo:] = part
-        out[hi:, lo:hi] = part[:, hi - lo:].T
-        yield lo, hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _row_blocks(n, n):
+            part = _pair_rows(a, lo, hi, start=lo)
+            part *= 0.5
+            _check_finite(part)
+            out[lo:hi, lo:] = part
+            out[hi:, lo:hi] = part[:, hi - lo:].T
+    return out
 
 
 def smallest_k_eigen(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -46,7 +46,7 @@ from scipy.sparse import csc_array, issparse
 from .errors import ConfigError, NumericError, is_number, require_integers, require_numeric
 from .graph import AffinityGraph, connected_components
 from .numerics import (
-    _bottom_eigenpairs, _project_simplex_columns, _row_blocks, _solve_spd, _symmetric_rows,
+    _bottom_eigenpairs, _project_simplex_columns, _row_blocks, _solve_spd, _symmetrize,
     solve_spd, squared_distances,
 )
 
@@ -269,52 +269,56 @@ def _dense_copy(s: AffinityGraph) -> np.ndarray:
     return m.toarray(order="C") if issparse(m) else np.array(m, dtype=float, order="C")
 
 
+def _degrees(m: np.ndarray) -> np.ndarray:
+    """deg = (S 1 + S^T 1) / 2, the degrees of the symmetrized weights
+    (S + S^T) / 2: L_S = diag(deg) - (S + S^T) / 2."""
+    return 0.5 * (m.sum(axis=1) + m.sum(axis=0))
+
+
 def _embedding_operator(
     s: AffinityGraph, x: np.ndarray, gamma_diag: np.ndarray, hp: Hyperparams
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """``_embedding_operator_in_place`` in a dense copy of S; s is left
-    unchanged."""
-    return _embedding_operator_in_place(_dense_copy(s), x, gamma_diag, hp)
+    """``_embedding_operator_in_place`` in a dense copy of S, symmetrized
+    as ``_bottom_eigenpairs`` symmetrizes it: the matrix that the
+    eigensolve solves. s is left unchanged."""
+    m, project = _embedding_operator_in_place(_dense_copy(s), x, gamma_diag, hp)
+    return _symmetrize(m, m), project
 
 
 @np.errstate(all="ignore")
 def _embedding_operator_in_place(
     a: np.ndarray, x: np.ndarray, gamma_diag: np.ndarray, hp: Hyperparams
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """(alpha * L_S + beta * C, F -> Q^{-1} X^T F) with C = I - X Q^{-1} X^T,
-    both from one factorization; see ``update_f``. When d > n, C = K^{-1}
-    and Q^{-1} X^T F = D X^T K^{-1} F (module docstring). Otherwise P comes
+    """(alpha (diag(deg) - S) + beta C, F -> Q^{-1} X^T F) with deg the
+    degrees (``_degrees``) and C = I - X Q^{-1} X^T, both from one
+    factorization; see ``update_f``. When d > n, C = K^{-1} and
+    Q^{-1} X^T F = D X^T K^{-1} F (module docstring). Otherwise P comes
     from Q^{-1} X^T itself, not from the residual X^T C F, whose round-off
-    (gamma G)^{-1} would amplify. ``_bottom_eigenpairs`` symmetrizes and
-    checks the operator.
+    (gamma G)^{-1} would amplify.
 
-    The operator is formed in a, the dense S's own C-ordered float64 array,
-    which the caller gives up: alpha L_S one block of rows and its mirror
-    columns at a time (``numerics._symmetric_rows``), each entry with the
-    bits of ``alpha * laplacian_of(S)``; then beta C, by blocks of rows of
-    K^{-1} when d > n, else as beta on the diagonal and one GEMM.
+    The symmetric part of the first matrix is the embedding operator
+    alpha L_S + beta C, and ``_bottom_eigenpairs`` symmetrizes its input
+    and checks it, so no Laplacian is formed. The matrix is formed in a,
+    the dense S's own C-ordered float64 array, which the caller gives up:
+    a is scaled by -alpha and gets alpha deg on its diagonal; then beta C,
+    by blocks of rows of K^{-1} when d > n, else as beta on the diagonal
+    and one GEMM.
     """
     n = x.shape[0]
-    dual = _uses_dual_form(x)
-    if dual:
+    degrees = _degrees(a)
+    a *= -hp.alpha
+    a[np.diag_indices(n)] += hp.alpha * degrees
+    if _uses_dual_form(x):
         complement, root = _dual_solve(x, hp.gamma, gamma_diag)
         def project(f: np.ndarray) -> np.ndarray:
             return root[:, None] * ((x * root).T @ (complement @ f))
-    else:
-        q = _regularized_gram(x.T @ x, hp.gamma, gamma_diag)
-        back = solve_spd(q, x.T)  # Q^{-1} X^T without forming the inverse
-        def project(f: np.ndarray) -> np.ndarray:
-            return back @ f
-    for lo, hi in _symmetric_rows(a, a):
-        rows = a[lo:hi]  # (S + S^T) / 2, whole: no later block reads these rows
-        degree = rows.sum(axis=1)
-        np.subtract(0.0, rows, out=rows)  # 0 - a_ij, as diag(degree) - A has it
-        rows[np.arange(hi - lo), np.arange(lo, hi)] += degree
-        rows *= hp.alpha
-        if dual:
-            rows += hp.beta * complement[lo:hi]
-    if dual:
+        for lo, hi in _row_blocks(n, n):
+            a[lo:hi] += hp.beta * complement[lo:hi]
         return a, project
+    q = _regularized_gram(x.T @ x, hp.gamma, gamma_diag)
+    back = solve_spd(q, x.T)  # Q^{-1} X^T without forming the inverse
+    def project(f: np.ndarray) -> np.ndarray:
+        return back @ f
     a[np.diag_indices(n)] += hp.beta
     # a.T is a in Fortran order: there, a <- a - beta X back is
     # a.T <- a.T - beta back^T X^T, one GEMM with no n x n temporary.
@@ -346,7 +350,9 @@ def update_f(
     Q = X^T X + gamma G, and substituting it back leaves
     beta Tr(F^T C F), C = I - X Q^{-1} X^T. Over F with F^T F = I the
     remainder Tr(F^T (alpha L_S + beta C) F) is minimized by the k bottom
-    eigenvectors of that operator (Ky Fan). The factorization that built C
+    eigenvectors of that operator (Ky Fan), the symmetric part of
+    alpha (diag(deg) - S) + beta C, which is formed without a Laplacian
+    (``_embedding_operator_in_place``). The factorization that built C
     also gives the matching P = Q^{-1} X^T F: when d > n, X^T C = (Q - X^T X)
     Q^{-1} X^T = gamma G Q^{-1} X^T turns it into P = (gamma G)^{-1} X^T
     (C F) with C = K^{-1}, for O(n^2 k + n d k). So the update costs
@@ -448,20 +454,21 @@ def objective(
     fusion residual + alpha * Tr(F^T L_S F) + beta * (||X P - F||^2
     + gamma * sum of row norms of P).
 
-    The fusion residual and Tr(F^T L_S F) are summed by blocks of columns
-    and of rows (L_S is symmetric), so no n x n array besides S is formed;
-    where one block covers them all, each has the bits of its dense formula.
+    The fusion residual is summed by blocks of columns, so no n x n array
+    besides S is formed; where one block covers them all, it has the bits
+    of its dense formula. With L_S = diag(deg) - (S + S^T) / 2
+    (``_degrees``) and Tr(F^T S^T F) = Tr(F^T S F), the spectral term is
+    sum_i deg_i ||f_i||^2 - Tr(F^T S F): one n x n x k product, no Laplacian.
     """
-    s, n = state.s, state.s.n
+    s, n, f = state.s.matrix, state.s.n, state.f
     supports = [g.support for g in views]
-    fusion = spectral = 0.0
+    fusion = 0.0
     for lo, hi in _row_blocks(n, n):
         resid_s = _fused_slice(supports, state.w, n, lo, hi)
-        np.subtract(s.matrix[:, lo:hi], resid_s, out=resid_s)
+        np.subtract(s[:, lo:hi], resid_s, out=resid_s)
         fusion += float(np.sum(np.square(resid_s, out=resid_s)))
         del resid_s
-        lap = s.laplacian_rows(lo, hi)
-        spectral += float(np.sum(state.f[lo:hi] * (lap @ state.f)))
+    spectral = float(_degrees(s) @ np.sum(f * f, axis=1) - np.sum(f * (s @ f)))
     resid_f = x @ state.p - state.f
     fit = float(np.sum(resid_f * resid_f))
     sparsity = float(np.sqrt(np.sum(state.p * state.p, axis=1)).sum())

@@ -254,7 +254,7 @@ def test_negative_eval_seed_exits_2_before_any_fit(dataset_dir, tmp_path, capsys
         "--eval-seeds=-1", "--output-dir", str(tmp_path / "eval"),
     ])
     assert code == 2
-    assert "eval_seeds must be non-negative" in capsys.readouterr().err
+    assert "each eval_seeds entry must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
 
 

@@ -232,7 +232,7 @@ def test_grid_rejects_an_invalid_point_before_loading(synthetic_manifest, tmp_pa
 
 
 def test_run_config_rejects_negative_eval_seeds(tmp_path):
-    with pytest.raises(ConfigError, match="eval_seeds must be non-negative"):
+    with pytest.raises(ConfigError, match="each eval_seeds entry must be non-negative"):
         quick_config(tmp_path, eval_seeds=(0, -1))
 
 

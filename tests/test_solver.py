@@ -404,18 +404,23 @@ def test_embedding_operator_matches_explicit_formula(n, d):
 def test_embedding_operator_is_bitwise_the_out_of_place_sum(n, d):
     state, x, hp = dense_state(54, n, d)
     m, project = _embedding_operator(state.s, x, state.gamma_diag, hp)
-    lap = laplacian_of(state.s)
+    s = state.s.matrix
+    degrees = 0.5 * (s.sum(axis=1) + s.sum(axis=0))
+    expected = -hp.alpha * s
+    expected[np.diag_indices(n)] += hp.alpha * degrees
     if _uses_dual_form(x):
         complement, root = _dual_solve(x, hp.gamma, state.gamma_diag, np.eye(n))
         p = root[:, None] * ((x * root).T @ (complement @ state.f))
-        expected = hp.alpha * lap + hp.beta * complement
+        expected = expected + hp.beta * complement
     else:
-        # alpha L + beta I, less beta X Q^-1 X^T by one GEMM, out of place.
+        # alpha (diag(deg) - S) + beta I, less beta X Q^-1 X^T by one GEMM,
+        # out of place.
         back = solve_spd(_regularized_gram(x.T @ x, hp.gamma, state.gamma_diag), x.T)
         p = back @ state.f
-        expected = hp.alpha * lap
         expected[np.diag_indices(n)] += hp.beta
         expected = blas.dgemm(-hp.beta, back, x.T, beta=1.0, c=expected.T, trans_a=True).T
+    # Its symmetric part, alpha L_S + beta C, is what the eigensolve solves.
+    expected = 0.5 * (expected + expected.T)
     assert np.array_equal(m, expected)
     assert np.array_equal(project(state.f), p)  # the operator did not overwrite C
 
@@ -442,6 +447,25 @@ def test_update_f_is_the_in_place_route_on_a_copy_of_s(n, d):
     state.s = AffinityGraph(csc_array(state.s.matrix))
     f_csc, p_csc = update_f(state, x, hp)
     assert f_csc.tobytes() == f.tobytes() and p_csc.tobytes() == p.tobytes()
+
+
+@pytest.mark.parametrize("d_v", [12, 40], ids=["primal", "dual"])
+def test_fit_forms_no_laplacian(d_v, monkeypatch):
+    # laplacian_of forms its Laplacian through laplacian_rows too.
+    graphs, x, _, hp = blob_problem(64, n_per_cluster=10, d_v=d_v, max_outer_iters=3)
+    assert _uses_dual_form(x) == (d_v == 40)
+    expected = fit(graphs, x, hp)
+
+    def no_laplacian(self, lo, hi):
+        raise AssertionError("the fit formed a Laplacian")
+
+    monkeypatch.setattr(AffinityGraph, "laplacian_rows", no_laplacian)
+    state = fit(graphs, x, hp)
+    for name in ("p", "f", "w", "gamma_diag"):
+        assert getattr(state, name).tobytes() == getattr(expected, name).tobytes()
+    assert state.s.matrix.tobytes() == expected.s.matrix.tobytes()
+    assert state.objective_trace == expected.objective_trace
+    assert state.components_trace == expected.components_trace
 
 
 # The last case has a well-conditioned Q (cond(Q) ~ 8) and a small gamma:
@@ -802,16 +826,21 @@ def test_update_s_is_bitwise_the_out_of_place_shift():
         assert update_s(state, graphs, hp).matrix.tobytes() == expected.tobytes()
 
 
-def _dense_objective(state, graphs, x, hp):
-    """The objective by its formula, with the whole fusion residual and
-    Laplacian."""
+def _dense_objective(state, graphs, x, hp, textbook=False):
+    """The objective by its formula, with the whole fusion residual. Its
+    spectral term is sum_i d_i ||f_i||^2 - Tr(F^T S F), or with textbook
+    set, Tr(F^T L_S F) from the whole Laplacian."""
     fused = sum(v.matrix.toarray() * state.w[i][None, :] for i, v in enumerate(graphs))
-    resid_s = state.s.matrix - fused
-    a = 0.5 * (state.s.matrix + state.s.matrix.T)
-    lap = np.diag(a.sum(axis=1)) - a
-    resid_f = x @ state.p - state.f
+    s, f = state.s.matrix, state.f
+    resid_s = s - fused
+    if textbook:
+        spectral = float(np.sum(f * (laplacian_of(state.s) @ f)))
+    else:
+        degrees = 0.5 * (s.sum(axis=1) + s.sum(axis=0))
+        spectral = float(degrees @ np.sum(f * f, axis=1) - np.sum(f * (s @ f)))
+    resid_f = x @ state.p - f
     return (float(np.sum(resid_s * resid_s))
-            + hp.alpha * float(np.sum(state.f * (lap @ state.f)))
+            + hp.alpha * spectral
             + hp.beta * (float(np.sum(resid_f * resid_f))
                          + hp.gamma * float(np.sqrt(np.sum(state.p * state.p, axis=1)).sum())))
 
@@ -825,12 +854,13 @@ def test_objective_is_bitwise_the_dense_formula():
 
 
 def test_blocked_objective_is_the_dense_formula_to_round_off():
-    # At n = 240 the fusion residual and L_S are summed in two blocks of rows.
+    # At n = 240 the fusion residual is summed in two blocks of columns;
+    # the reference takes its spectral term from the whole Laplacian.
     state, graphs, x, hp = random_state(46, n_per_cluster=80, n_views=3)
     assert len(_row_blocks(state.s.n, state.s.n)) > 1
     for _ in range(2):
         value = objective(state, graphs, x, hp)
-        expected = _dense_objective(state, graphs, x, hp)
+        expected = _dense_objective(state, graphs, x, hp, textbook=True)
         assert abs(value - expected) <= 1e-13 * abs(expected)
         state.s = update_s(state, graphs, hp)
         state.w = update_w(state, graphs)
