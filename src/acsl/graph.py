@@ -8,20 +8,19 @@ and the fit reads it column by column; the learned structure is a dense
 n x n array. Its Laplacian is a plain n x n array either way.
 
 Nothing derived from a graph is cached: its support and its Laplacian are
-formed where they are used, the Laplacian whole (``laplacian_of``) or one
-block of rows at a time (``AffinityGraph.laplacian_rows``), so that no
-n x n array outlives the step that reads it. The fit forms neither: it
-reads L_S's diagonal off the degrees of the learned structure and its
-other entries off the structure itself (``solver._degrees``).
+formed where they are used, the Laplacian whole, in one dense copy of S
+(``laplacian_of``). The fit forms no Laplacian: it reads L_S's diagonal
+off the degrees of the learned structure and its other entries off the
+structure itself (``solver._degrees``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array, csgraph, csr_array, csr_matrix, issparse
+from scipy.sparse import csc_array, csgraph, csr_matrix, issparse
 
 from .errors import ConfigError, require_finite, require_integers, require_numeric
-from .numerics import _pair_rows, _row_blocks, squared_distances
+from .numerics import _pair_rows, _row_blocks, _symmetrize, squared_distances
 
 # Symmetrized edge weights above this count as edges when counting components.
 COMPONENT_EDGE_THRESHOLD = 1e-8
@@ -41,7 +40,8 @@ class AffinityGraph:
     storage: the smallest entry >= 0 (False at a NaN), then the column
     sums (inf at an inf entry, or where the sum overflows). View graphs
     also have a zero diagonal; a learned structure may not.
-    The support and the Laplacian are formed anew on each call.
+    The support and the Laplacian (``laplacian_of``) are formed anew on
+    each call.
     """
 
     matrix: np.ndarray | csc_array
@@ -73,31 +73,6 @@ class AffinityGraph:
         m = self.matrix if issparse(self.matrix) else csc_array(self.matrix)
         cols = np.repeat(np.arange(self.n), np.diff(m.indptr))
         return m.indices.astype(np.intp), cols, m.data.copy()
-
-    def laplacian_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of the Laplacian (``laplacian_of``), as a new writable
-        (hi - lo, n) array, formed from rows lo:hi and columns lo:hi of a
-        dense matrix alone (a sparse one is first summed with its transpose,
-        sparse). Each entry has the bits it has in the whole Laplacian: a
-        row's degree sums that same contiguous row of A."""
-        lap = self._pair_sums()(lo, hi)
-        lap *= 0.5
-        degree = lap.sum(axis=1)
-        np.subtract(0.0, lap, out=lap)  # 0 - a_ij, as diag(degree) - A has it
-        lap[np.arange(hi - lo), np.arange(lo, hi)] += degree
-        return lap
-
-    def _pair_sums(self):
-        """A function of (lo, hi) that gives rows lo:hi of S + S^T as a new
-        dense array, with the bits of ``S[lo:hi] + S[:, lo:hi].T``: the sum
-        commutes, and adding an absent entry's 0 is exact. A sparse matrix
-        is summed once, sparse, and only the rows asked for are densified;
-        a dense one's rows come from ``numerics._pair_rows``."""
-        m = self.matrix
-        if issparse(m):
-            pairs = csr_array(m + m.T)
-            return lambda lo, hi: pairs[lo:hi].toarray()
-        return lambda lo, hi: _pair_rows(m, lo, hi)
 
 
 def _canonical_csc(m) -> csc_array:
@@ -169,40 +144,56 @@ def build_view_affinity(x_v: np.ndarray, k_neighbors: int) -> AffinityGraph:
     return AffinityGraph(matrix=matrix)
 
 
+def _dense_copy(s: AffinityGraph) -> np.ndarray:
+    """S as a new C-ordered float64 array. C order for either storage: a
+    CSC array's own ``toarray()`` is Fortran-ordered, and row sums over it
+    can differ in the last bit."""
+    m = s.matrix
+    return m.toarray(order="C") if issparse(m) else np.array(m, dtype=float, order="C")
+
+
 def laplacian_of(s: AffinityGraph) -> np.ndarray:
     """Laplacian D - A of the symmetrized weights A = (S + S^T)/2, with
     D = diag(row sums of A): exactly symmetric, PSD, zero row sums up to
-    round-off. A new writable n x n array on each call, not cached: rows
-    0..n of ``AffinityGraph.laplacian_rows``. A sparse graph gives bitwise its
-    dense form's Laplacian."""
-    return s.laplacian_rows(0, s.n)
+    round-off. A new writable n x n array on each call, not cached, formed
+    in place in one dense copy of S (``_dense_copy``): O(n^2) memory for
+    either storage. Every entry has the bits of ``diag(A 1) - A``, so a
+    sparse graph gives bitwise its dense form's Laplacian."""
+    lap = _dense_copy(s)
+    _symmetrize(lap, lap)
+    degree = lap.sum(axis=1)
+    np.subtract(0.0, lap, out=lap)  # 0 - a_ij, as diag(degree) - A has it
+    lap[np.diag_indices(s.n)] += degree
+    return lap
 
 
 def connected_components(s: AffinityGraph) -> int:
     """Number of connected components of the thresholded undirected graph.
 
     Samples i and j are adjacent iff (S_ij + S_ji)/2 > COMPONENT_EDGE_THRESHOLD;
-    the count is found by graph traversal. The adjacency is read off S + S^T
-    one block of rows at a time, with no Laplacian and no second n x n
-    array: halving and doubling are exact, so S_ij + S_ji > 2 t is the
-    same test.
+    the count is found by graph traversal. Halving and doubling are exact,
+    so S_ij + S_ji > 2 t is the same test, read with no Laplacian: off a
+    sparse S + S^T, summed once, or off a dense S one block of rows of
+    S + S^T at a time (``numerics._pair_rows``), with no second n x n array.
     A self-loop (the diagonal) does not change the count. The adjacency is
     exactly symmetric, so the strong components of that directed graph are
     the undirected ones, found without scipy's symmetrizing copy.
     """
-    n = s.n
-    pair_sums = s._pair_sums()
-    degrees, columns = [], []
-    for lo, hi in _row_blocks(n, n):
-        # flat indices in this block, row-major: row r's lie in [r n, (r + 1) n)
-        flat = np.flatnonzero(pair_sums(lo, hi) > 2.0 * COMPONENT_EDGE_THRESHOLD)
-        degrees.append(np.diff(np.searchsorted(flat, np.arange(0, (hi - lo + 1) * n, n))))
-        columns.append((flat % n).astype(np.int32))
-    # float64 data and int32 indices, the types csgraph works in, so that it
-    # makes no converted copy; no index runs over the n^2 entries.
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(degrees), out=indptr[1:])
-    columns = np.concatenate(columns)
-    adjacency = csr_matrix((np.ones(columns.size), columns, indptr), shape=(n, n))
+    m, n = s.matrix, s.n
+    if issparse(m):
+        adjacency = m + m.T > 2.0 * COMPONENT_EDGE_THRESHOLD
+    else:
+        degrees, columns = [], []
+        for lo, hi in _row_blocks(n, n):
+            # flat indices in this block, row-major: row r's lie in [r n, (r + 1) n)
+            flat = np.flatnonzero(_pair_rows(m, lo, hi) > 2.0 * COMPONENT_EDGE_THRESHOLD)
+            degrees.append(np.diff(np.searchsorted(flat, np.arange(0, (hi - lo + 1) * n, n))))
+            columns.append((flat % n).astype(np.int32))
+        # float64 data and int32 indices, the types csgraph works in, so that
+        # it makes no converted copy; no index runs over the n^2 entries.
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.concatenate(degrees), out=indptr[1:])
+        columns = np.concatenate(columns)
+        adjacency = csr_matrix((np.ones(columns.size), columns, indptr), shape=(n, n))
     count, _ = csgraph.connected_components(adjacency, directed=True, connection="strong")
     return int(count)

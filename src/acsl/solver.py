@@ -44,7 +44,7 @@ from scipy.linalg import blas
 from scipy.sparse import csc_array, issparse
 
 from .errors import ConfigError, NumericError, is_number, require_integers, require_numeric
-from .graph import AffinityGraph, connected_components
+from .graph import AffinityGraph, _dense_copy, connected_components
 from .numerics import (
     _bottom_eigenpairs, _project_simplex_columns, _row_blocks, _solve_spd, _symmetrize,
     solve_spd, squared_distances,
@@ -263,10 +263,10 @@ def update_p(
     return _solve_projection(x, state.f, hp.gamma, weights), weights
 
 
-def _dense_copy(s: AffinityGraph) -> np.ndarray:
-    """S as a new C-ordered float64 array."""
-    m = s.matrix
-    return m.toarray(order="C") if issparse(m) else np.array(m, dtype=float, order="C")
+def _dense_matrix(s: AffinityGraph) -> np.ndarray:
+    """S's own array when it is dense (no copy), else a dense copy
+    (``graph._dense_copy``)."""
+    return _dense_copy(s) if issparse(s.matrix) else s.matrix
 
 
 def _degrees(m: np.ndarray) -> np.ndarray:
@@ -425,9 +425,9 @@ def update_w(state: SolverState, views: list[AffinityGraph]) -> np.ndarray:
     gets uniform weights. Any other Gram has t_j > 0, so after the ridge
     every Gram in the batch has smallest eigenvalue above 1e-12 t_j > 0
     (or is I), and ``np.linalg.solve`` meets no singular matrix and cannot
-    raise.
+    raise. A sparse S is read through a dense copy (``_dense_matrix``).
     """
-    s = state.s.matrix
+    s = _dense_matrix(state.s)
     grams = _view_grams(s, views)  # (n, V, V), one Gram per column
     v = grams.shape[1]
     grams[(grams == grams[:, :1, :1]).all(axis=(1, 2))] = np.eye(v)  # G_j = c 11^T
@@ -455,12 +455,13 @@ def objective(
     + gamma * sum of row norms of P).
 
     The fusion residual is summed by blocks of columns, so no n x n array
-    besides S is formed; where one block covers them all, it has the bits
-    of its dense formula. With L_S = diag(deg) - (S + S^T) / 2
-    (``_degrees``) and Tr(F^T S^T F) = Tr(F^T S F), the spectral term is
+    besides S (``_dense_matrix``: a dense copy of a sparse S) is formed;
+    where one block covers them all, it has the bits of its dense formula.
+    With L_S = diag(deg) - (S + S^T) / 2 (``_degrees``) and
+    Tr(F^T S^T F) = Tr(F^T S F), the spectral term is
     sum_i deg_i ||f_i||^2 - Tr(F^T S F): one n x n x k product, no Laplacian.
     """
-    s, n, f = state.s.matrix, state.s.n, state.f
+    s, n, f = _dense_matrix(state.s), state.s.n, state.f
     supports = [g.support for g in views]
     fusion = 0.0
     for lo, hi in _row_blocks(n, n):

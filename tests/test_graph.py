@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array, csgraph, csr_array, csr_matrix, issparse
+from scipy.sparse import csc_array, csgraph, csr_array, csr_matrix
 
 from acsl.errors import ConfigError
 from acsl.graph import (
@@ -358,20 +358,22 @@ def _assert_laplacian_is_formed_anew(g):
     assert laplacian_of(g).tobytes() == second.tobytes()
 
 
-def test_laplacian_row_blocks_stitch_to_bitwise_the_whole_laplacian():
-    rng = np.random.default_rng(24)
-    x = rng.normal(size=(313, 5))
-    for g in (*_test_graphs(rng), random_affinity(rng, 313), build_view_affinity(x, 10)):
-        lap = laplacian_of(g)
-        n = g.n
-        assert not np.array_equal(dense(g), dense(g).T)  # asymmetric S
-        cuts = np.unique(np.concatenate([[0, n], rng.integers(0, n + 1, size=4)]))
-        for bounds in (list(zip(cuts[:-1], cuts[1:])), [(i, i + 1) for i in range(n)]):
-            rows = np.vstack([g.laplacian_rows(lo, hi) for lo, hi in bounds])
-            assert rows.tobytes() == lap.tobytes()
-        if issparse(g.matrix):
-            dense_lap = laplacian_of(AffinityGraph(g.matrix.toarray()))
-            assert dense_lap.tobytes() == lap.tobytes()
+def test_laplacian_and_components_are_bitwise_the_same_in_every_layout():
+    # An F-ordered dense S and its CSC form give the C-ordered S's Laplacian
+    # and component count bit for bit: a CSC array's own toarray() is
+    # Fortran-ordered, and row sums over that layout can differ in the last bit.
+    rng = np.random.default_rng(27)
+    knn = build_view_affinity(rng.normal(size=(313, 5)), 10)
+    for m in (random_affinity(rng, 313).matrix, block_affinity(rng, [100, 113, 100]).matrix,
+              knn.matrix.toarray(order="C")):
+        assert m.flags.c_contiguous and not np.array_equal(m, m.T)
+        reference = AffinityGraph(m)
+        lap, count = laplacian_of(reference), connected_components(reference)
+        fortran = AffinityGraph(np.asfortranarray(m))
+        assert fortran.matrix.flags.f_contiguous and not fortran.matrix.flags.c_contiguous
+        for g in (fortran, AffinityGraph(csc_array(m))):
+            assert laplacian_of(g).tobytes() == lap.tobytes()
+            assert connected_components(g) == count
 
 
 def _assert_support_is_formed_anew(g):

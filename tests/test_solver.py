@@ -1,5 +1,6 @@
 from dataclasses import replace
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.linalg import blas
 from scipy.sparse import csc_array, csr_array
 
+import acsl
 from acsl import numerics, solver
 from acsl.errors import ConfigError, NumericError
 from acsl.data import zscore_columns
@@ -451,21 +453,39 @@ def test_update_f_is_the_in_place_route_on_a_copy_of_s(n, d):
 
 @pytest.mark.parametrize("d_v", [12, 40], ids=["primal", "dual"])
 def test_fit_forms_no_laplacian(d_v, monkeypatch):
-    # laplacian_of forms its Laplacian through laplacian_rows too.
     graphs, x, _, hp = blob_problem(64, n_per_cluster=10, d_v=d_v, max_outer_iters=3)
     assert _uses_dual_form(x) == (d_v == 40)
     expected = fit(graphs, x, hp)
 
-    def no_laplacian(self, lo, hi):
+    def no_laplacian(s):
         raise AssertionError("the fit formed a Laplacian")
 
-    monkeypatch.setattr(AffinityGraph, "laplacian_rows", no_laplacian)
+    # Every binding of laplacian_of in the package, acsl.graph's and acsl's
+    # own among them, raises.
+    bindings = [module for name, module in list(sys.modules.items())
+                if name.split(".")[0] == "acsl"
+                and getattr(module, "laplacian_of", None) is laplacian_of]
+    assert {acsl, acsl.graph} <= set(bindings)
+    for module in bindings:
+        monkeypatch.setattr(module, "laplacian_of", no_laplacian)
     state = fit(graphs, x, hp)
     for name in ("p", "f", "w", "gamma_diag"):
         assert getattr(state, name).tobytes() == getattr(expected, name).tobytes()
     assert state.s.matrix.tobytes() == expected.s.matrix.tobytes()
     assert state.objective_trace == expected.objective_trace
     assert state.components_trace == expected.components_trace
+
+
+@pytest.mark.parametrize("read", [
+    lambda state, graphs, x, hp: objective(state, graphs, x, hp),
+    lambda state, graphs, x, hp: update_w(state, graphs),
+], ids=["objective", "update_w"])
+def test_objective_and_update_w_read_a_csc_s_as_its_dense_form(read):
+    for seed in (3, 4, 5, 6):
+        state, graphs, x, hp = random_state(seed)
+        expected = np.asarray(read(state, graphs, x, hp))
+        state.s = AffinityGraph(csc_array(state.s.matrix))
+        assert np.asarray(read(state, graphs, x, hp)).tobytes() == expected.tobytes()
 
 
 # The last case has a well-conditioned Q (cond(Q) ~ 8) and a small gamma:
