@@ -15,7 +15,16 @@ twins of the public kernels (``_bottom_eigenpairs``, ``_solve_spd``,
 in-place symmetrization on entry to ``_bottom_eigenpairs`` is the one
 pass that pairs the solver's embedding operator with its transpose: the
 solver hands it a matrix whose symmetric part is the operator.
+
+``_ritz_bottom_eigenvectors`` is the fit loop's eigensolve once an F_0
+exists: a float32 eigensolve of the scaled operator proposes k +
+RITZ_EXTRA_PAIRS vectors V, and a float64 Rayleigh-Ritz step over
+[F_0, V] returns the bottom k. It never does worse on Tr(F^T M F) than
+F_0, whatever the float32 accuracy, and it falls back to the exact
+``_bottom_eigenpairs`` when its residual exceeds RITZ_RESIDUAL_TOL.
 """
+
+import math
 
 import numpy as np
 from scipy import linalg
@@ -27,6 +36,17 @@ SPD_RIDGE_SCALE = 1e-10
 
 # Doubles in one block's temporaries (256 KB).
 BLOCK_ITEMS = 32768
+
+# Eigenpairs that the float32 solve of ``_ritz_bottom_eigenvectors`` takes
+# beyond the k wanted. Bench operators gave the same Ritz accuracy from 2 to
+# 40; each extra pair costs the float32 solve and the Ritz products a little.
+RITZ_EXTRA_PAIRS = 2
+
+# Largest accepted residual max_j ||M f_j - theta_j f_j|| of the Ritz pairs,
+# relative to max|M| sqrt(n). The bench's operators leave about 1e-8 (the
+# float32 solve's round-off, refined by the float64 step); a subspace that
+# misses a bottom eigenvector leaves a residual of the order of the eigengap.
+RITZ_RESIDUAL_TOL = 1e-6
 
 
 def _row_blocks(rows: int, row_items: int) -> list[tuple[int, int]]:
@@ -140,10 +160,68 @@ def _bottom_eigenpairs(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # order, is factored in place.
     vals, vecs = linalg.eigh(m.T, subset_by_index=(0, k - 1), overwrite_a=True,
                              check_finite=False)
+    return vals, _sign_fixed(vecs)
+
+
+def _sign_fixed(vecs: np.ndarray) -> np.ndarray:
+    """vecs with each column's sign flipped so that its largest-magnitude
+    entry is positive (``smallest_k_eigen``)."""
     pivot = np.abs(vecs).argmax(axis=0)
-    signs = np.sign(vecs[pivot, np.arange(k)])
+    signs = np.sign(vecs[pivot, np.arange(vecs.shape[1])])
     signs[signs == 0] = 1.0
-    return vals, vecs * signs
+    return vecs * signs
+
+
+def _ritz_bottom_eigenvectors(m: np.ndarray, f0: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
+    """(F, fell back): k orthonormal vectors for the bottom of m's symmetric
+    part M, no worse than f0's k columns, formed in m itself, a square
+    float64 array the caller gives up. m's largest entry must lie on its
+    diagonal, as in any positive semidefinite matrix, such as the solver's
+    embedding operator.
+
+    m is symmetrized in place and checked as in ``_bottom_eigenpairs``,
+    then scaled by the power of two 2^-e that brings its largest diagonal
+    entry into [0.5, 1): exact, and it keeps every entry finite in float32.
+    A float32 copy gives the bottom k + RITZ_EXTRA_PAIRS eigenvectors V
+    (``_float32_bottom_eigenvectors``), at about half the cost of the
+    float64 solve. Then, in float64, a Householder QR gives an orthonormal
+    basis B of the block [f0, V], and the bottom k eigenvectors Y of
+    B^T M B give the Ritz vectors F = B Y with their values theta. span(B) holds f0's
+    columns, so Tr(F^T M F) <= Tr(f0^T M f0) for orthonormal f0 (Ky Fan in
+    span(B)), whatever the accuracy of V. The residual M F - F theta =
+    (M B) Y - F theta comes from the product M B the step already formed.
+    If a column's residual exceeds RITZ_RESIDUAL_TOL max|M| sqrt(n), F is
+    the exact ``_bottom_eigenpairs`` of the scaled m instead. Either way F
+    gets the sign rule of ``smallest_k_eigen``. The caller has checked k.
+    """
+    n = len(m)
+    m = _symmetrize(m, m)
+    m *= 2.0 ** -math.frexp(float(np.abs(m.diagonal()).max()))[1]
+    v = _float32_bottom_eigenvectors(m, min(k + RITZ_EXTRA_PAIRS, n))
+    basis = linalg.qr(np.hstack([f0, v]), mode="economic", overwrite_a=True,
+                      check_finite=False)[0]
+    product = m @ basis
+    small = basis.T @ product
+    theta, y = np.linalg.eigh(0.5 * (small + small.T))
+    theta, y = theta[:k], y[:, :k]
+    f = basis @ y
+    residual = np.linalg.norm(product @ y - f * theta, axis=0).max()
+    if residual <= RITZ_RESIDUAL_TOL * float(np.abs(m.diagonal()).max()) * math.sqrt(n):
+        return _sign_fixed(f), False
+    return _bottom_eigenpairs(m, k)[1], True
+
+
+def _float32_bottom_eigenvectors(m: np.ndarray, count: int) -> np.ndarray:
+    """The bottom count eigenvectors of m, an exactly symmetric float64
+    array whose entries fit float32, solved in a float32 copy that is cast
+    one block of rows at a time and freed on return."""
+    n = len(m)
+    low = np.empty((n, n), dtype=np.float32)
+    for lo, hi in _row_blocks(n, n):
+        low[lo:hi] = m[lo:hi]
+    # low is exactly symmetric, as m is: its transpose is solved in place.
+    return linalg.eigh(low.T, subset_by_index=(0, count - 1), overwrite_a=True,
+                       check_finite=False)[1]
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

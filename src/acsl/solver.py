@@ -46,8 +46,8 @@ from scipy.sparse import csc_array, issparse
 from .errors import ConfigError, NumericError, is_number, require_integers, require_numeric
 from .graph import AffinityGraph, _dense_copy, connected_components
 from .numerics import (
-    _bottom_eigenpairs, _project_simplex_columns, _row_blocks, _solve_spd, _symmetrize,
-    solve_spd, squared_distances,
+    _bottom_eigenpairs, _project_simplex_columns, _ritz_bottom_eigenvectors, _row_blocks,
+    _solve_spd, _symmetrize, solve_spd, squared_distances,
 )
 
 
@@ -92,7 +92,9 @@ class SolverState:
     column of s lies on the probability simplex, every column of w sums
     to 1 (entries may be negative), and gamma_diag is strictly positive.
     alpha_trace records the alpha in effect at each recorded objective
-    value (it only varies when adaptive alpha is enabled).
+    value (it only varies when adaptive alpha is enabled). f_fallbacks
+    counts the F steps of the fit loop whose Ritz step missed its residual
+    tolerance and took the exact eigensolve instead (``update_f``).
     """
 
     p: np.ndarray
@@ -105,6 +107,7 @@ class SolverState:
     components_trace: list[int] = field(default_factory=list)
     alpha_trace: list[float] = field(default_factory=list)
     converged: bool = False
+    f_fallbacks: int = 0
 
 
 def _check_problem(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> int:
@@ -152,20 +155,27 @@ def _view_grams(s: np.ndarray, views: list[AffinityGraph]) -> np.ndarray:
     G_j reads column j alone, so the columns are taken b = BLOCK_ITEMS /
     (n V / 2) at a time: their V differences s - S^v form one (V, n, b)
     stack of about two BLOCK_ITEMS for any V (s broadcast into every layer,
-    then each view subtracts its values on its support), and one batched
-    ``einsum("vij,uij->jvu")`` gives their Grams, summed in the same order
-    as over the whole (V, n, n) stack, which is never formed.
+    then each view subtracts its values on its support, read in place from
+    its CSC storage: a dense view is converted once per call). G_j is
+    symmetric, so each pair v <= u is contracted once, by
+    ``einsum("ij,ij->j")``, and mirrored: the sums of the batched
+    ``einsum("vij,uij->jvu")`` over the whole (V, n, n) stack, which is
+    never formed, in the same order.
     """
     n, n_views = len(s), len(views)
+    stored = [g.matrix if issparse(g.matrix) else csc_array(g.matrix) for g in views]
     grams = np.empty((n, n_views, n_views))
     for lo, hi in _row_blocks(n, n * n_views // 2):
         diffs = np.empty((n_views, n, hi - lo))
         diffs[:] = s[:, lo:hi]
-        for diff, g in zip(diffs, views):
-            rows, cols, values = g.support
-            a, b = np.searchsorted(cols, (lo, hi))  # these columns' support, a slice
-            diff[rows[a:b], cols[a:b] - lo] -= values[a:b]
-        grams[lo:hi] = np.einsum("vij,uij->jvu", diffs, diffs)
+        for diff, m in zip(diffs, stored):
+            a, b = m.indptr[lo], m.indptr[hi]  # these columns' support, a slice
+            cols = np.repeat(np.arange(hi - lo), np.diff(m.indptr[lo:hi + 1]))
+            diff[m.indices[a:b], cols] -= m.data[a:b]
+        for v in range(n_views):
+            for u in range(v, n_views):
+                grams[lo:hi, v, u] = grams[lo:hi, u, v] = np.einsum(
+                    "ij,ij->j", diffs[v], diffs[u])
     return grams
 
 
@@ -292,8 +302,10 @@ def _embedding_operator_in_place(
     """(alpha (diag(deg) - S) + beta C, F -> Q^{-1} X^T F) with deg the
     degrees (``_degrees``) and C = I - X Q^{-1} X^T, both from one
     factorization; see ``update_f``. When d > n, C = K^{-1} and
-    Q^{-1} X^T F = D X^T K^{-1} F (module docstring). Otherwise P comes
-    from Q^{-1} X^T itself, not from the residual X^T C F, whose round-off
+    Q^{-1} X^T F = D X^T K^{-1} F (module docstring). Otherwise one solve
+    with Q, on the right-hand side [X^T, I], gives Q^{-1} X^T, which builds
+    C and is dropped, and the d x d Q^{-1}, which is kept: P comes from
+    Q^{-1} (X^T F), not from the residual X^T C F, whose round-off
     (gamma G)^{-1} would amplify.
 
     The symmetric part of the first matrix is the embedding operator
@@ -315,10 +327,14 @@ def _embedding_operator_in_place(
         for lo, hi in _row_blocks(n, n):
             a[lo:hi] += hp.beta * complement[lo:hi]
         return a, project
-    q = _regularized_gram(x.T @ x, hp.gamma, gamma_diag)
-    back = solve_spd(q, x.T)  # Q^{-1} X^T without forming the inverse
+    d = x.shape[1]
+    rhs = np.empty((d, n + d), order="F")
+    rhs[:, :n] = x.T
+    rhs[:, n:] = np.eye(d)
+    solved = _solve_spd(_regularized_gram(x.T @ x, hp.gamma, gamma_diag), rhs)
+    back, inverse = solved[:, :n], solved[:, n:].copy()  # Q^{-1} X^T, Q^{-1}
     def project(f: np.ndarray) -> np.ndarray:
-        return back @ f
+        return inverse @ (x.T @ f)
     a[np.diag_indices(n)] += hp.beta
     # a.T is a in Fortran order: there, a <- a - beta X back is
     # a.T <- a.T - beta back^T X^T, one GEMM with no n x n temporary.
@@ -327,13 +343,18 @@ def _embedding_operator_in_place(
 
 
 def _update_f_in_place(
-    a: np.ndarray, x: np.ndarray, gamma_diag: np.ndarray, hp: Hyperparams
-) -> tuple[np.ndarray, np.ndarray]:
-    """``update_f`` in a, the dense S's own C-ordered float64 array, which
-    the caller gives up: it becomes the operator, solved in place."""
+    a: np.ndarray, x: np.ndarray, f0: np.ndarray, gamma_diag: np.ndarray, hp: Hyperparams
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``update_f`` from F_0 = f0 in a, the dense S's own C-ordered float64
+    array, which the caller gives up: it becomes the operator, solved in
+    place. Returns (F, P, whether the Ritz step fell back to the exact
+    eigensolve)."""
     m, project = _embedding_operator_in_place(a, x, gamma_diag, hp)
-    _, f = _bottom_eigenpairs(m, hp.k)
-    return f, project(f)
+    if f0.any():
+        f, fell_back = _ritz_bottom_eigenvectors(m, f0, hp.k)
+    else:
+        f, fell_back = _bottom_eigenpairs(m, hp.k)[1], False
+    return f, project(f), fell_back
 
 
 def update_f(
@@ -349,8 +370,8 @@ def update_f(
     For fixed F its minimizer over P is P = Q^{-1} X^T F with
     Q = X^T X + gamma G, and substituting it back leaves
     beta Tr(F^T C F), C = I - X Q^{-1} X^T. Over F with F^T F = I the
-    remainder Tr(F^T (alpha L_S + beta C) F) is minimized by the k bottom
-    eigenvectors of that operator (Ky Fan), the symmetric part of
+    remainder Tr(F^T M F), M = alpha L_S + beta C, is minimized by the k
+    bottom eigenvectors of M (Ky Fan), the symmetric part of
     alpha (diag(deg) - S) + beta C, which is formed without a Laplacian
     (``_embedding_operator_in_place``). The factorization that built C
     also gives the matching P = Q^{-1} X^T F: when d > n, X^T C = (Q - X^T X)
@@ -358,10 +379,19 @@ def update_f(
     (C F) with C = K^{-1}, for O(n^2 k + n d k). So the update costs
     O(min(n, d)^3 + n d min(n, d)) plus the eigensolve.
 
+    With F_0 = state.f = 0, as in ``initialize``, F is the exact bottom of
+    M (``numerics._bottom_eigenpairs``). Otherwise F is a Rayleigh-Ritz
+    step over a subspace that holds F_0: the bottom of a float32 solve of
+    M refined in float64 (``numerics._ritz_bottom_eigenvectors``). It gives
+    Tr(F^T M F) <= Tr(F_0^T M F_0) for orthonormal F_0, which is all that
+    ``fit``'s descent chain needs, and it takes the exact solve when its
+    residual misses the tolerance.
+
     state.s is read, never written: the update runs in a dense copy of S
     (``_update_f_in_place``), whereas ``fit`` gives up S's own array.
     """
-    return _update_f_in_place(_dense_copy(state.s), x, state.gamma_diag, hp)
+    f, p, _ = _update_f_in_place(_dense_copy(state.s), x, state.f, state.gamma_diag, hp)
+    return f, p
 
 
 @np.errstate(all="ignore")
@@ -529,13 +559,16 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
 
         J_eps(P_0, F_0) = U(P_0, F_0)
                        >= U(P_1, F_0)              P_1 minimizes U(., F_0)
-                       >= U(P_new, F_new)          joint minimizer of U
+                       >= U(P_new, F_new)          Ritz step from F_0
                        >= J_eps(P_new, F_new)      U bounds J_eps above
                        >= J_eps after update_s     exact column minimizers
                        >= J_eps after update_w     exact column minimizers
 
     where (F_new, P_new = Q^{-1} X^T F_new) is the pair ``update_f``
-    returns for the reweighting at P_0. More ``update_p`` steps would move
+    returns for the reweighting at P_0. The minimum of U(., F) over P is
+    Tr(F^T M F) plus a constant, and F_new is a Rayleigh-Ritz step over a
+    subspace that holds F_0, so Tr(F_new^T M F_new) <= Tr(F_0^T M F_0);
+    P_new attains that minimum at F_new. More ``update_p`` steps would move
     the anchor and also descend, at one solve each, but ``update_f``
     replaces P_1 anyway: one step keeps the chain at the least cost.
 
@@ -545,7 +578,9 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
     state.converged False rather than raising.
 
     ``update_s`` does not read S, so the outgoing S's own array becomes the
-    operator (``_update_f_in_place``): the primal loop holds one n x n array.
+    operator (``_update_f_in_place``): the primal loop holds one n x n array,
+    and the float32 copy of the operator while it is solved.
+    state.f_fallbacks counts the F steps that took the exact eigensolve.
     """
     x = require_numeric("stacked feature matrix", x)
     state = initialize(views, x, hp)
@@ -553,7 +588,9 @@ def fit(views: list[AffinityGraph], x: np.ndarray, hp: Hyperparams) -> SolverSta
     for it in range(1, hp.max_outer_iters + 1):
         try:
             state.p, state.gamma_diag = update_p(state, x, current)
-            state.f, state.p = _update_f_in_place(state.s.matrix, x, state.gamma_diag, current)
+            state.f, state.p, fell_back = _update_f_in_place(
+                state.s.matrix, x, state.f, state.gamma_diag, current)
+            state.f_fallbacks += fell_back
             state.s = None
             state.s = update_s(state, views, current)
             state.w = update_w(state, views)

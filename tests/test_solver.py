@@ -1,5 +1,6 @@
 from dataclasses import replace
 import itertools
+import math
 import sys
 import tracemalloc
 
@@ -416,9 +417,10 @@ def test_embedding_operator_is_bitwise_the_out_of_place_sum(n, d):
         expected = expected + hp.beta * complement
     else:
         # alpha (diag(deg) - S) + beta I, less beta X Q^-1 X^T by one GEMM,
-        # out of place.
-        back = solve_spd(_regularized_gram(x.T @ x, hp.gamma, state.gamma_diag), x.T)
-        p = back @ state.f
+        # out of place; P = Q^-1 (X^T F).
+        q = _regularized_gram(x.T @ x, hp.gamma, state.gamma_diag)
+        back = solve_spd(q, x.T)
+        p = solve_spd(q, np.eye(len(q))) @ (x.T @ state.f)
         expected[np.diag_indices(n)] += hp.beta
         expected = blas.dgemm(-hp.beta, back, x.T, beta=1.0, c=expected.T, trans_a=True).T
     # Its symmetric part, alpha L_S + beta C, is what the eigensolve solves.
@@ -443,12 +445,92 @@ def test_update_f_is_the_in_place_route_on_a_copy_of_s(n, d):
     before = state.s.matrix.tobytes()
     f, p = update_f(state, x, hp)
     assert state.s.matrix.tobytes() == before
-    f_in, p_in = _update_f_in_place(state.s.matrix.copy(), x, state.gamma_diag, hp)
+    f_in, p_in, _ = _update_f_in_place(state.s.matrix.copy(), x, state.f, state.gamma_diag, hp)
     assert f.tobytes() == f_in.tobytes() and p.tobytes() == p_in.tobytes()
     # S held as a CSC array, as initialize holds the fusion, gives the same bits.
     state.s = AffinityGraph(csc_array(state.s.matrix))
     f_csc, p_csc = update_f(state, x, hp)
     assert f_csc.tobytes() == f.tobytes() and p_csc.tobytes() == p.tobytes()
+
+
+# ------------------------------------------- the Ritz step of the F update
+
+# The perfbench workloads' shapes: largen (n = 900, three 40-dimensional
+# views, the third twice as noisy) solves in the primal form, highdim
+# (n = 150, two 300-dimensional views) in the dual form.
+BENCH_SHAPES = {
+    "primal": (300, [(40, 6.0, 0.25)] * 2 + [(40, 12.0, 0.25)]),
+    "dual": (50, [(300, 2.5, 0.05), (300, 3.0, 0.05)]),
+}
+
+
+@pytest.fixture(scope="module", params=list(BENCH_SHAPES))
+def bench_fit(request):
+    """(graphs, x, hp, state) of a bench-shaped fit: k = 3, 10 neighbors,
+    alpha = 1 and 4 outer iterations, as the bench runs it."""
+    n_per_cluster, views = BENCH_SHAPES[request.param]
+    dataset, _ = generate_synthetic(n_per_cluster, 3, views, seed=0)
+    mats = [zscore_columns(v) for v in dataset.views]
+    graphs, x = [build_view_affinity(m, 10) for m in mats], np.hstack(mats)
+    assert _uses_dual_form(x) == (request.param == "dual")
+    hp = Hyperparams(k=3, max_outer_iters=4)
+    return graphs, x, hp, fit(graphs, x, hp)
+
+
+def poor_float32_solve(m, count):
+    """A stand-in for numerics._float32_bottom_eigenvectors whose subspace
+    misses the bottom of m."""
+    return random_orthonormal(np.random.default_rng(65), len(m), count)
+
+
+def test_ritz_step_matches_the_exact_bottom_sum_on_bench_shapes(bench_fit):
+    graphs, x, hp, state = bench_fit
+    state = replace(state)
+    state.p, state.gamma_diag = update_p(state, x, hp)
+    m, _ = _embedding_operator(state.s, x, state.gamma_diag, hp)
+    f, p, fell_back = _update_f_in_place(state.s.matrix.copy(), x, state.f,
+                                         state.gamma_diag, hp)
+    assert not fell_back
+    exact = np.linalg.eigvalsh(m)[: hp.k].sum()
+    assert abs(np.trace(f.T @ m @ f) - exact) <= 1e-9 * abs(exact)
+    assert np.abs(f.T @ f - np.eye(hp.k)).max() <= 1e-12
+
+
+def test_bench_shaped_fits_never_fall_back_to_the_exact_eigensolve(bench_fit, monkeypatch):
+    graphs, x, hp, state = bench_fit
+    assert state.iteration == 4 and state.f_fallbacks == 0
+    # A float32 solve that misses the bottom makes every F step of the loop
+    # fall back, and initialize's exact solve is not counted.
+    monkeypatch.setattr(numerics, "_float32_bottom_eigenvectors", poor_float32_solve)
+    assert fit(graphs, x, replace(hp, max_outer_iters=2)).f_fallbacks == 2
+
+
+@pytest.mark.parametrize("n,d", SHAPES + [(240, 12), (200, 230)])
+def test_ritz_step_from_the_exact_minimizer_does_not_rise(n, d):
+    state, x, hp = dense_state(64, n, d, k=3)
+    m, _ = _embedding_operator(state.s, x, state.gamma_diag, hp)
+    state.f = numerics.smallest_k_eigen(m, hp.k)[1]
+    f, _, fell_back = _update_f_in_place(state.s.matrix.copy(), x, state.f,
+                                         state.gamma_diag, hp)
+    assert not fell_back
+    start = np.trace(state.f.T @ m @ state.f)
+    # Slack for the round-off of forming the two traces.
+    assert np.trace(f.T @ m @ f) <= start + 1e-14 * abs(start)
+
+
+@pytest.mark.parametrize("n,d", [(240, 12), (200, 230)], ids=["primal", "dual"])
+def test_a_ritz_step_that_misses_its_tolerance_is_the_exact_solve(n, d, monkeypatch):
+    state, x, hp = dense_state(65, n, d, k=3)
+    monkeypatch.setattr(numerics, "_float32_bottom_eigenvectors", poor_float32_solve)
+    f, p, fell_back = _update_f_in_place(state.s.matrix.copy(), x, state.f,
+                                         state.gamma_diag, hp)
+    assert fell_back
+    # The exact solve of the same operator, scaled as the step scales it.
+    m, project = _embedding_operator(state.s, x, state.gamma_diag, hp)
+    m *= 2.0 ** -math.frexp(np.abs(np.diag(m)).max())[1]
+    expected = numerics._bottom_eigenpairs(m, hp.k)[1]
+    assert f.tobytes() == expected.tobytes()
+    assert p.tobytes() == project(expected).tobytes()
 
 
 @pytest.mark.parametrize("d_v", [12, 40], ids=["primal", "dual"])
