@@ -189,11 +189,12 @@ def connected_components(s: AffinityGraph) -> int:
             flat = np.flatnonzero(_pair_rows(m, lo, hi) > 2.0 * COMPONENT_EDGE_THRESHOLD)
             degrees.append(np.diff(np.searchsorted(flat, np.arange(0, (hi - lo + 1) * n, n))))
             columns.append((flat % n).astype(np.int32))
-        # float64 data and int32 indices, the types csgraph works in, so that
-        # it makes no converted copy; no index runs over the n^2 entries.
+        # int32 indices, the type csgraph works in, so that it makes no
+        # converted copy; no index runs over the n^2 entries. csgraph reads
+        # the weights only as nonzero: one stride-0 1.0, never copied.
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.concatenate(degrees), out=indptr[1:])
         columns = np.concatenate(columns)
-        adjacency = csr_matrix((np.ones(columns.size), columns, indptr), shape=(n, n))
+        adjacency = csr_matrix((np.broadcast_to(1.0, columns.size), columns, indptr), shape=(n, n))
     count, _ = csgraph.connected_components(adjacency, directed=True, connection="strong")
     return int(count)

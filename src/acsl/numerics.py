@@ -6,15 +6,17 @@ inputs unchanged. Square inputs are symmetrized on entry, which tolerates
 round-off asymmetry and is their one finiteness check (``symmetrized``:
 NumericError on a NaN, inf or overflow).
 
-Passes over an n x n array run one block of rows (or of columns) at a
-time (``_row_blocks``), so their temporaries hold about BLOCK_ITEMS
-doubles (256 KB) rather than another n x n array. A matrix that small is
-one block. The solver hands some arrays it gives up to private in-place
-twins of the public kernels (``_bottom_eigenpairs``, ``_solve_spd``,
-``_project_simplex_columns``), which write their results there. The
-in-place symmetrization on entry to ``_bottom_eigenpairs`` is the one
-pass that pairs the solver's embedding operator with its transpose: the
-solver hands it a matrix whose symmetric part is the operator.
+Passes over an n x n array whose one-call form would make another n x n
+temporary run one block of rows (or of columns) at a time
+(``_row_blocks``), so their temporaries hold about BLOCK_ITEMS doubles
+(256 KB). A matrix that small is one block. A cast is one call: numpy
+converts through its own small buffer. The solver hands some arrays it
+gives up to private in-place twins of the public kernels
+(``_bottom_eigenpairs``, ``_solve_spd``, ``_project_simplex_columns``),
+which write their results there. The in-place symmetrization on entry
+to ``_bottom_eigenpairs`` is the one pass that pairs the solver's
+embedding operator with its transpose: the solver hands it a matrix
+whose symmetric part is the operator.
 
 ``_ritz_bottom_eigenvectors`` is the fit loop's eigensolve once an F_0
 exists: a float32 eigensolve of the scaled operator proposes k +
@@ -213,12 +215,9 @@ def _ritz_bottom_eigenvectors(m: np.ndarray, f0: np.ndarray, k: int) -> tuple[np
 
 def _float32_bottom_eigenvectors(m: np.ndarray, count: int) -> np.ndarray:
     """The bottom count eigenvectors of m, an exactly symmetric float64
-    array whose entries fit float32, solved in a float32 copy that is cast
-    one block of rows at a time and freed on return."""
-    n = len(m)
-    low = np.empty((n, n), dtype=np.float32)
-    for lo, hi in _row_blocks(n, n):
-        low[lo:hi] = m[lo:hi]
+    array whose entries fit float32, solved in a float32 copy that is
+    freed on return."""
+    low = m.astype(np.float32)
     # low is exactly symmetric, as m is: its transpose is solved in place.
     return linalg.eigh(low.T, subset_by_index=(0, count - 1), overwrite_a=True,
                        check_finite=False)[1]

@@ -192,14 +192,6 @@ def _uses_dual_form(x: np.ndarray) -> bool:
     return x.shape[1] > x.shape[0]
 
 
-def _uniform_fusion(views: list[AffinityGraph]) -> AffinityGraph:
-    """The fusion at uniform view weights as a CSC array, summed from the
-    views' supports without a dense n x n array."""
-    rows, cols, values = (np.concatenate(part) for part in zip(*(g.support for g in views)))
-    n = views[0].n
-    return AffinityGraph(csc_array((values * (1.0 / len(views)), (rows, cols)), shape=(n, n)))
-
-
 def _dual_solve(
     x: np.ndarray, gamma: float, gamma_diag: np.ndarray, b: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -313,8 +305,8 @@ def _embedding_operator_in_place(
     and checks it, so no Laplacian is formed. The matrix is formed in a,
     the dense S's own C-ordered float64 array, which the caller gives up:
     a is scaled by -alpha and gets alpha deg on its diagonal; then beta C,
-    by blocks of rows of K^{-1} when d > n, else as beta on the diagonal
-    and one GEMM.
+    as beta K^{-1} when d > n (its n x n temporary stays under the dual
+    solves' own peak), else as beta on the diagonal and one GEMM.
     """
     n = x.shape[0]
     degrees = _degrees(a)
@@ -324,13 +316,10 @@ def _embedding_operator_in_place(
         complement, root = _dual_solve(x, hp.gamma, gamma_diag)
         def project(f: np.ndarray) -> np.ndarray:
             return root[:, None] * ((x * root).T @ (complement @ f))
-        for lo, hi in _row_blocks(n, n):
-            a[lo:hi] += hp.beta * complement[lo:hi]
+        a += hp.beta * complement
         return a, project
     d = x.shape[1]
-    rhs = np.empty((d, n + d), order="F")
-    rhs[:, :n] = x.T
-    rhs[:, n:] = np.eye(d)
+    rhs = np.concatenate((x, np.eye(d))).T  # [X^T, I], Fortran-ordered
     solved = _solve_spd(_regularized_gram(x.T @ x, hp.gamma, gamma_diag), rhs)
     back, inverse = solved[:, :n], solved[:, n:].copy()  # Q^{-1} X^T, Q^{-1}
     def project(f: np.ndarray) -> np.ndarray:
@@ -516,9 +505,10 @@ def initialize(
     graphs (the shift vanishes at F = 0), and ``update_f`` the indicator
     from the embedding operator of that structure and its paired projection.
     The uniform fusion's columns lie on the simplex, so it is its own
-    projection: ``update_f`` reads it, held sparse, in place of S_0 (they
-    differ by round-off), and S_0 is formed after it, so the operator and
-    S_0 are never held together.
+    projection: ``update_f`` reads it, held sparse and summed in view order
+    with the bits of ``_fused_columns``, in place of S_0 (they differ by
+    round-off), and S_0 is formed after it, so the operator and S_0 are
+    never held together.
     """
     x = require_numeric("stacked feature matrix", x)
     n = _check_problem(views, x, hp)
@@ -526,7 +516,7 @@ def initialize(
     state = SolverState(p=np.zeros((d, hp.k)), f=np.zeros((n, hp.k)), s=None,
                         w=np.full((len(views), n), 1.0 / len(views)),
                         gamma_diag=np.ones(d))
-    state.s = _uniform_fusion(views)
+    state.s = AffinityGraph(sum(csc_array(g.matrix) * (1.0 / len(views)) for g in views))
     f, p = update_f(state, x, hp)
     state.s = update_s(state, views, hp)
     state.f, state.p = f, p

@@ -19,11 +19,12 @@ the F step's float32 solve (1.31 primal, 4.29 dual) plus the margin that
 the earlier bounds of 2.5 and 5.5 left over the earlier peaks of 2.24 and
 5.16. The primal peak is now 1.55, in ``_update_f_in_place``: S's array,
 which has become the operator, and its float32 copy; the dual peak stays
-4.29, in the dual solves. A block's peak moves by up to about 1 KB between
-runs of the same code (the interpreter's own allocations), so compare two
-trees block by block in bytes, with that margin, not by the
-rounded figure. Its name keeps pytest from collecting it. Run it from the
-root of the repository:
+4.29, in the dual solves. The primal ``connected_components`` block,
+1.21, holds S and a 4-byte column index per edge of S + S^T. A block's
+peak moves by up to about 2 KB between runs of the same code (the
+interpreter's own allocations), so compare two trees block by block in
+bytes, with that margin, not by the rounded figure. Its name keeps
+pytest from collecting it. Run it from the root of the repository:
 
     OPENBLAS_NUM_THREADS=1 python -W error::RuntimeWarning tests/fit_memory.py
 

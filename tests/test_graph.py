@@ -497,13 +497,13 @@ def test_view_graph_laplacian_and_components_hold_at_most_one_dense_array():
 
 
 def test_component_count_on_a_dense_structure_holds_int32_edges():
-    # Each edge of a dense S costs an int32 column index and the 8-byte
-    # weight csgraph reads, with no index over all n^2 entries: three dense
-    # blocks (a third of the pairs are edges) take about half an n x n
-    # array, and a fully dense S about 1.5 of them.
+    # Each edge of a dense S costs its int32 column index alone, with no
+    # index over all n^2 entries and one stride-0 weight that csgraph reads
+    # for every edge: three dense blocks (a third of the pairs are edges)
+    # take about a third of an n x n array, and a fully dense S about one.
     rng = np.random.default_rng(26)
-    for g, bound in ((block_affinity(rng, [200] * 3), 0.55),
-                     (random_affinity(rng, 600), 1.55)):
+    for g, bound in ((block_affinity(rng, [200] * 3), 0.40),
+                     (random_affinity(rng, 600), 1.10)):
         unit = 8 * g.n ** 2
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()

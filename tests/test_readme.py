@@ -1,5 +1,5 @@
-"""The README's library quick start, run as written, its CLI examples, parsed,
-and its error contract."""
+"""The README's library quick start, run as written, its CLI examples, parsed
+and run, and its error contract."""
 
 import ast
 import json
@@ -10,7 +10,7 @@ import shlex
 import subprocess
 import sys
 
-from acsl.cli import build_parser
+from acsl.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,16 +46,33 @@ def test_quick_start_gives_the_same_fit_at_one_and_two_blas_threads():
     assert results[0][1] is True
 
 
-def test_cli_examples_parse():
-    # Each `acsl ...` command of the README's sh blocks, continuation lines
-    # joined, must parse: a flag the parser dropped or renamed fails here.
+def cli_examples() -> list[list[str]]:
+    """The arguments of each `acsl ...` command of the README's sh blocks,
+    continuation lines joined."""
     text = README.read_text(encoding="utf-8")
     blocks = "".join(re.findall(r"```sh\n(.*?)```", text, re.DOTALL))
     commands = [c for c in blocks.replace("\\\n", " ").splitlines() if c.startswith("acsl ")]
-    assert len(commands) == 5
-    for command in commands:
-        args = build_parser().parse_args(shlex.split(command)[1:])
+    return [shlex.split(command)[1:] for command in commands]
+
+
+def test_cli_examples_parse():
+    # A flag the parser dropped or renamed fails here.
+    examples = cli_examples()
+    assert len(examples) == 5
+    for argv in examples:
+        args = build_parser().parse_args(argv)
         assert callable(args.func)
+
+
+def test_cli_examples_run_and_exit_0(tmp_path, monkeypatch):
+    # Every example but `grid` (a 27-point sweep, parsed above) runs as
+    # written, in order, from one working directory.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ACSL_OUTPUT_DIR", raising=False)
+    examples = [argv for argv in cli_examples() if argv[0] != "grid"]
+    assert [argv[0] for argv in examples] == ["generate", "fit", "evaluate", "trace"]
+    for argv in examples:
+        assert main(argv) == 0, argv
 
 
 def test_the_package_raises_no_bare_value_error():

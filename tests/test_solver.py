@@ -198,6 +198,31 @@ def test_initialize_three_views_matches_direct_average_oracle():
         assert initialize(given, x, Hyperparams(k=3)).s.matrix.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n_views", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["knn", "dense"])
+def test_initialize_starts_from_the_view_order_sum_of_the_fusion(kind, n_views, monkeypatch):
+    # The sparse S that initialize's F step reads is bitwise the fusion at
+    # uniform weights, each entry summed in view order as _fused_columns
+    # sums it, so F_0 rests on those bits. An entry that three views share,
+    # summed in another order, can differ in its last bit.
+    rng = np.random.default_rng(31)
+    dataset, _ = generate_synthetic(20, 3, [(6, 1.0, 0.5)] * n_views, seed=31)
+    mats = [zscore_columns(v) for v in dataset.views]
+    views = ([build_view_affinity(m, 15) for m in mats] if kind == "knn"
+             else [random_affinity(rng, dataset.n, zero_diag=True) for _ in mats])
+    starts = []
+
+    def recorded(state, x, hp):
+        starts.append(state.s.matrix.toarray(order="C"))
+        return update_f(state, x, hp)
+
+    monkeypatch.setattr(solver, "update_f", recorded)
+    initialize(views, dataset.stacked, Hyperparams(k=3))
+    expected = _fused_columns(views, np.full((n_views, dataset.n), 1.0 / n_views))
+    assert len(starts) == 1
+    assert starts[0].tobytes() == expected.tobytes()
+
+
 def test_initialize_seeds_traces_and_indicator():
     state, graphs, x, hp = random_state(23)
     assert len(state.objective_trace) == 1
